@@ -4,6 +4,13 @@ Checks a fixed outcome against the EJR family (EJR, up-to-one, up-to-one
 restricted to the demanded set, up-to-any) and the PJR family (PJR,
 up-to-one, up-to-any, and the local best-affordable-set variant), all by
 exhaustive cohesive-group search. Exponential by design; guarded.
+
+Every axiom quantifies over the same objects: a demanded set T and a group
+of its approvers N_T that can afford it, |N_T|·b >= n·c(T). `demand_sets`
+lists those T once per instance by a depth-first search over the sorted
+project ids that stops a branch at the first unaffordable set (supersets
+only cost more and lose approvers). The list is memoised on the instance,
+so the eight checkers and the greedy cohesive rule share one enumeration.
 """
 from __future__ import annotations
 
@@ -11,9 +18,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import GuardExceededError
+from .errors import GuardExceededError, InconsistentAuditError
 from .model import Instance, InstanceError
 from .satisfaction import SatisfactionFunction, voter_satisfaction
 
@@ -57,26 +65,60 @@ def _guard(inst: Instance, max_m: int, max_n: int) -> None:
         )
 
 
-def _candidate_sets(inst: Instance) -> Iterator[tuple[frozenset[str], Fraction]]:
-    """Nonempty affordable project sets, smallest and lexicographically
-    lowest first, so the reported violation is deterministic."""
-    projects = sorted(inst.projects)
-    for r in range(1, inst.m + 1):
-        for combo in itertools.combinations(projects, r):
-            cost = sum((inst.costs[p] for p in combo), Fraction(0))
-            if cost <= inst.budget:
-                yield frozenset(combo), cost
-
-
-def _min_group_size(inst: Instance, cost: Fraction) -> int:
-    return math.ceil(Fraction(inst.n) * cost / inst.budget)
-
-
 def _check_outcome(inst: Instance, outcome) -> frozenset[str]:
     w = frozenset(outcome)
     if inst.total_cost(w) > inst.budget:
         raise InstanceError("outcome exceeds the budget")
     return w
+
+
+# ---------------------------------------------------------------------------
+# Shared demand-set enumeration
+
+
+# (group, intersection of its ballots, union of its ballots)
+Signature = tuple[frozenset[int], frozenset[str], frozenset[str]]
+
+
+@dataclass(frozen=True)
+class Demand:
+    """A nonempty project set T that its approvers can afford together."""
+
+    t: frozenset[str]
+    cost: Fraction
+    approvers: tuple[int, ...]  # N_T, ascending
+    min_size: int  # smallest group size whose budget share covers c(T)
+    _inst: Instance = field(repr=False, compare=False)
+
+    @cached_property
+    def signatures(self) -> tuple[Signature, ...]:
+        """`_group_signatures` of the approvers, computed on first use."""
+        return tuple(_group_signatures(self._inst, list(self.approvers), self.min_size))
+
+
+def demand_sets(inst: Instance) -> tuple[Demand, ...]:
+    """Every T with |N_T|·b >= n·c(T), ordered by (|T|, sorted ids) so that
+    reported witnesses are deterministic. Memoised on the instance."""
+    if inst._demands is None:
+        projects = sorted(inst.projects)
+        found: list[Demand] = []
+
+        def extend(start: int, ids: tuple[str, ...], cost: Fraction, voters) -> None:
+            for j in range(start, len(projects)):
+                t_ids = ids + (projects[j],)
+                t_cost = cost + inst.costs[projects[j]]
+                t_voters = voters & inst.approvers(projects[j])
+                if len(t_voters) * inst.budget < inst.n * t_cost:
+                    continue  # no superset is affordable either
+                approvers = tuple(sorted(t_voters))
+                size = math.ceil(inst.n * t_cost / inst.budget)
+                found.append(Demand(frozenset(t_ids), t_cost, approvers, size, inst))
+                extend(j + 1, t_ids, t_cost, t_voters)
+
+        extend(0, (), Fraction(0), frozenset(inst.voters))
+        found.sort(key=lambda d: (len(d.t), sorted(d.t)))
+        object.__setattr__(inst, "_demands", tuple(found))
+    return inst._demands
 
 
 # ---------------------------------------------------------------------------
@@ -95,25 +137,22 @@ def _ejr_family(
     max_n: int,
 ) -> Violation | None:
     _guard(inst, max_m, max_n)
-    w = _check_outcome(inst, outcome)
-    for t, cost in _candidate_sets(inst):
-        approvers = [i for i in inst.voters if t <= inst.approval(i)]
-        if len(approvers) * inst.budget < inst.n * cost:
-            continue  # even all of T's approvers cannot afford it
-        target = mu.value(t)
+    _check_outcome(inst, outcome)
+    for d in demand_sets(inst):
+        target = mu.value(d.t)
         unsatisfied = []
         details = {}
-        for i in approvers:
-            ok, info = satisfied(i, t, target)
+        for i in d.approvers:
+            ok, info = satisfied(i, d.t, target)
             if not ok:
                 unsatisfied.append(i)
                 details[i] = info
-        if unsatisfied and len(unsatisfied) * inst.budget >= inst.n * cost:
+        if len(unsatisfied) >= d.min_size:
             rep = min(unsatisfied)
             info = details[rep]
             return Violation(
                 axiom=axiom,
-                witness=CohesiveWitness(t=t, group=frozenset(unsatisfied)),
+                witness=CohesiveWitness(t=d.t, group=frozenset(unsatisfied)),
                 lhs=info.pop("lhs"),
                 rhs=target,
                 detail={"voter": rep, **info},
@@ -247,7 +286,7 @@ def check_ejrx(
 
 def _group_signatures(
     inst: Instance, approvers: list[int], min_size: int
-) -> Iterator[tuple[frozenset[int], frozenset[str], frozenset[str]]]:
+) -> Iterator[Signature]:
     """Yield (group, intersection, union) for each achievable ballot
     signature among subgroups of the approvers with at least min_size
     members; deduplicated, deterministic order."""
@@ -283,18 +322,14 @@ def check_pjr(
     enumerated representatives, so the search is exhaustive."""
     _guard(inst, max_m, max_n)
     w = _check_outcome(inst, outcome)
-    for t, cost in _candidate_sets(inst):
-        approvers = [i for i in inst.voters if t <= inst.approval(i)]
-        size = _min_group_size(inst, cost)
-        if len(approvers) < size:
-            continue
-        target = mu.value(t)
-        for group, _, union in _group_signatures(inst, approvers, size):
+    for d in demand_sets(inst):
+        target = mu.value(d.t)
+        for group, _, union in d.signatures:
             got = mu.value(w & union)
             if got < target:
                 return Violation(
                     axiom="pjr",
-                    witness=CohesiveWitness(t=t, group=group),
+                    witness=CohesiveWitness(t=d.t, group=group),
                     lhs=got,
                     rhs=target,
                 )
@@ -312,23 +347,19 @@ def check_pjrx(
     set to the group's share must beat the demand."""
     _guard(inst, max_m, max_n)
     w = _check_outcome(inst, outcome)
-    for t, cost in _candidate_sets(inst):
-        extra = sorted(t - w)
+    for d in demand_sets(inst):
+        extra = sorted(d.t - w)
         if not extra:
             continue
-        approvers = [i for i in inst.voters if t <= inst.approval(i)]
-        size = _min_group_size(inst, cost)
-        if len(approvers) < size:
-            continue
-        target = mu.value(t)
-        for group, _, union in _group_signatures(inst, approvers, size):
+        target = mu.value(d.t)
+        for group, _, union in d.signatures:
             share = w & union
             for p in extra:
                 got = mu.value(share | {p})
                 if got <= target:
                     return Violation(
                         axiom="pjrx",
-                        witness=CohesiveWitness(t=t, group=group),
+                        witness=CohesiveWitness(t=d.t, group=group),
                         lhs=got,
                         rhs=target,
                         detail={"project": p},
@@ -348,15 +379,11 @@ def check_pjr1(
     so every achievable intersection/union signature is examined."""
     _guard(inst, max_m, max_n)
     w = _check_outcome(inst, outcome)
-    for t, cost in _candidate_sets(inst):
-        if t <= w:
+    for d in demand_sets(inst):
+        if d.t <= w:
             continue
-        approvers = [i for i in inst.voters if t <= inst.approval(i)]
-        size = _min_group_size(inst, cost)
-        if len(approvers) < size:
-            continue
-        target = mu.value(t)
-        for group, inter, union in _group_signatures(inst, approvers, size):
+        target = mu.value(d.t)
+        for group, inter, union in d.signatures:
             share = w & union
             options = sorted(inter - w)
             if any(mu.value(share | {p}) > target for p in options):
@@ -366,7 +393,7 @@ def check_pjr1(
             )
             return Violation(
                 axiom="pjr1",
-                witness=CohesiveWitness(t=t, group=group),
+                witness=CohesiveWitness(t=d.t, group=group),
                 lhs=best,
                 rhs=target,
             )
@@ -382,36 +409,34 @@ def check_local_bpjr(
 ) -> Violation | None:
     """Local variant of best-affordable-set PJR: no cohesive group may
     point to a best set W* inside its common ballot, affordable at the
-    demand's cost, that strictly extends the group's share of the outcome."""
+    demand's cost, that strictly extends the group's share of the outcome.
+
+    Every nonempty S inside the common ballot with c(S) <= c(T) is itself
+    a demand (the group approves S and affords it), so the best-set search
+    scans the shared demand list; the empty set never extends a share."""
     _guard(inst, max_m, max_n)
     w = _check_outcome(inst, outcome)
-    for t, cost in _candidate_sets(inst):
-        approvers = [i for i in inst.voters if t <= inst.approval(i)]
-        size = _min_group_size(inst, cost)
-        if len(approvers) < size:
-            continue
-        for group, inter_set, union in _group_signatures(inst, approvers, size):
-            inter = sorted(inter_set)
+    demands = demand_sets(inst)
+    for d in demands:
+        for group, inter, union in d.signatures:
             base = w & union
-            if not base <= inter_set:
+            if not base <= inter:
                 continue  # no subset of the common ballot can extend it
-            best_val = None
+            best_val = mu.value(frozenset())
             best_sets = []
-            for r in range(len(inter) + 1):
-                for combo in itertools.combinations(inter, r):
-                    candidate = frozenset(combo)
-                    if inst.total_cost(candidate) > cost:
-                        continue
-                    val = mu.value(candidate)
-                    if best_val is None or val > best_val:
-                        best_val, best_sets = val, [candidate]
-                    elif val == best_val:
-                        best_sets.append(candidate)
+            for s in demands:
+                if s.cost > d.cost or not s.t <= inter:
+                    continue
+                val = mu.value(s.t)
+                if val > best_val:
+                    best_val, best_sets = val, [s.t]
+                elif val == best_val:
+                    best_sets.append(s.t)
             for star in best_sets:
                 if base < star:
                     return Violation(
                         axiom="localbpjr",
-                        witness=CohesiveWitness(t=t, group=group),
+                        witness=CohesiveWitness(t=d.t, group=group),
                         lhs=mu.value(base),
                         rhs=best_val,
                         detail={"best_set": tuple(sorted(star))},
@@ -485,6 +510,8 @@ def audit_all(
     outcome,
     axioms: Iterable[str] | None = None,
 ) -> AuditReport:
+    """Run the named checkers (all by default) and verify that their
+    verdicts respect the implication lattice."""
     report = AuditReport(results={}, strictly_increasing=mu.strictly_increasing)
     names = list(axioms) if axioms is not None else list(AXIOM_CHECKERS)
     for name in names:
@@ -496,5 +523,7 @@ def audit_all(
             report.results[name] = checker(inst, mu, outcome)
         except GuardExceededError as exc:
             report.guard_errors[name] = str(exc)
-    assert not report.inconsistencies(), report.inconsistencies()
+    bad = report.inconsistencies()
+    if bad:
+        raise InconsistentAuditError(f"implication lattice broken: {bad}")
     return report

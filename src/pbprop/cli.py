@@ -195,7 +195,7 @@ def _cmd_run(args) -> int:
     elif args.rule == "maximin":
         outcome, trace = rules.run_maximin_support(inst, tie=args.tie)
     else:
-        outcome, trace = run_gcr_outcome(inst, mu, args.tie)
+        outcome, trace = rules.run_gcr(inst, mu, tie=args.tie), None
     payload = {"rule": args.rule, "sat": mu.kind, "outcome": sorted(outcome)}
     if trace is not None:
         payload["trace"] = _trace_json(trace)
@@ -207,10 +207,6 @@ def _cmd_run(args) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-def run_gcr_outcome(inst, mu, tie):
-    return rules.run_gcr(inst, mu, tie=tie), None
 
 
 def _cmd_audit(args) -> int:

@@ -8,3 +8,7 @@ class CapabilityError(TypeError):
 
 class GuardExceededError(RuntimeError):
     """An exact but exponential procedure was invoked beyond its size guard."""
+
+
+class InconsistentAuditError(RuntimeError):
+    """Axiom verdicts break the implication lattice: a checker is wrong."""

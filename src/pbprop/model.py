@@ -55,6 +55,9 @@ class Instance:
     _approvers: Mapping[str, frozenset[int]] = field(
         init=False, repr=False, compare=False, default=None
     )
+    _demands: tuple | None = field(  # memo of axioms.demand_sets
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -114,7 +117,7 @@ class Instance:
         return self.approvals[voter - 1]
 
     def _check_known(self, s: Iterable[str]) -> None:
-        unknown = set(s) - set(self.projects)
+        unknown = {p for p in s if p not in self.costs}
         if unknown:
             raise InstanceError(f"unknown project ids {sorted(unknown)}")
 

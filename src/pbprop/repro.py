@@ -8,7 +8,6 @@ facts.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -188,42 +187,6 @@ def _case_ejrx_separation() -> list[CheckResult]:
     return checks
 
 
-def _ejr1_candidates(inst: Instance, mu: SatisfactionFunction):
-    """Precomputed cohesive-set candidates for the additive up-to-one sweep."""
-    out = []
-    projects = sorted(inst.projects)
-    for r in range(1, inst.m + 1):
-        for combo in itertools.combinations(projects, r):
-            t = frozenset(combo)
-            cost = inst.total_cost(t)
-            if cost > inst.budget:
-                continue
-            approvers = [i for i in inst.voters if t <= inst.approval(i)]
-            if len(approvers) * inst.budget < inst.n * cost:
-                continue
-            out.append((t, cost, approvers, mu.value(t)))
-    return out
-
-
-def _ejr1_passes_fast(inst: Instance, mu: SatisfactionFunction, candidates, w) -> bool:
-    """Additive shortcut equivalent to the up-to-one checker: a voter is
-    rescued iff their satisfaction plus their best unchosen approved
-    project beats the demand."""
-    best = {}
-    for i in inst.voters:
-        mine = inst.approval(i)
-        base = sum((mu.per_project[p] for p in mine & w), Fraction(0))
-        gain = max((mu.per_project[p] for p in mine - w), default=Fraction(0))
-        best[i] = base + gain
-    for t, cost, approvers, target in candidates:
-        if t <= w:
-            continue
-        unsat = sum(1 for i in approvers if best[i] <= target)
-        if unsat and unsat * inst.budget >= inst.n * cost:
-            return False
-    return True
-
-
 def _case_ejr1_incompatibility() -> list[CheckResult]:
     inst = incompatibility_example()
     mu_c, mu_k = cost_sat(inst), cardinality_sat(inst)
@@ -235,13 +198,10 @@ def _case_ejr1_incompatibility() -> list[CheckResult]:
     _check(checks, "all-cheap outcome fails up-to-one under cost at {p1,p2}", "PAPER",
            v is not None and v.witness.t == frozenset({"p1", "p2"}),
            "no violation" if v is None else f"T={sorted(v.witness.t)}")
-    cand_c = _ejr1_candidates(inst, mu_c)
-    cand_k = _ejr1_candidates(inst, mu_k)
     both = [
         w
         for w in _feasible_outcomes(inst)
-        if _ejr1_passes_fast(inst, mu_c, cand_c, w)
-        and _ejr1_passes_fast(inst, mu_k, cand_k, w)
+        if check_ejr1(inst, mu_c, w) is None and check_ejr1(inst, mu_k, w) is None
     ]
     _check(checks, "no feasible outcome passes up-to-one under both functions",
            "PAPER", not both, f"{len(both)} outcomes pass both")

@@ -7,18 +7,18 @@ All arithmetic is exact.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .axioms import demand_sets
 from .errors import CapabilityError, GuardExceededError
 from .maxflow import FlowNetwork
 from .model import Instance, InstanceError
 from .satisfaction import SatisfactionFunction
 
 
-def _pick(candidates: Iterable[str], tie: str) -> str:
+def _pick(candidates: Iterable, tie: str):
     """Deterministic tie-breaking among equally good candidates."""
     if tie == "reverse":
         return max(candidates)
@@ -337,29 +337,17 @@ def run_gcr(
     chosen: set[str] = set()
     active = set(inst.voters)
     while True:
-        unchosen = [p for p in inst.projects if p not in chosen]
-        best_key = None
-        best_set: frozenset[str] | None = None
-        best_group: frozenset[int] | None = None
-        for r in range(1, len(unchosen) + 1):
-            for combo in itertools.combinations(unchosen, r):
-                cost = sum((inst.costs[p] for p in combo), Fraction(0))
-                if cost > inst.budget:
-                    continue
-                group = active.intersection(*(inst.approvers(p) for p in combo))
-                if not group or cost * inst.n > len(group) * inst.budget:
-                    continue
-                value = mu.value(combo)
-                order = tuple(sorted(combo))
-                key = (value, order) if tie == "reverse" else (value,)
-                if best_key is None or value > best_key[0] or (
-                    tie != "reverse" and value == best_key[0] and order < best_key[1]
-                ) or (tie == "reverse" and key > best_key):
-                    best_key = (value, order)
-                    best_set = frozenset(combo)
-                    best_group = frozenset(group)
-        if best_set is None:
+        # demands that the still-active voters can afford, by sorted ids
+        grantable = {
+            tuple(sorted(d.t)): d
+            for d in demand_sets(inst)
+            if not d.t & chosen and len(active.intersection(d.approvers)) >= d.min_size
+        }
+        if not grantable:
             break
-        chosen |= best_set
-        active -= best_group
+        values = {ids: mu.value(d.t) for ids, d in grantable.items()}
+        top = max(values.values())
+        best = grantable[_pick((ids for ids, v in values.items() if v == top), tie)]
+        chosen |= best.t
+        active.difference_update(best.approvers)
     return frozenset(chosen)

@@ -1,10 +1,21 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import make_instance, random_outcome
-from oracles import naive_ejr_passes, naive_pjr_passes, naive_pjrx_passes
+from oracles import (
+    all_demand_sets,
+    naive_ejr_passes,
+    naive_pjr_passes,
+    naive_pjrx_passes,
+)
+import pbprop
+from pbprop import axioms
 from pbprop.axioms import (
     AXIOM_CHECKERS,
     IMPLICATIONS,
@@ -20,9 +31,10 @@ from pbprop.axioms import (
     check_pjr,
     check_pjr1,
     check_pjrx,
+    demand_sets,
     is_cohesive,
 )
-from pbprop.errors import GuardExceededError
+from pbprop.errors import GuardExceededError, InconsistentAuditError
 from pbprop.model import Instance, InstanceError
 from pbprop.repro import (
     single_voter_separation_example,
@@ -148,6 +160,27 @@ def test_checkers_agree_with_naive_oracles(tiny_instances):
             )
 
 
+def test_demand_sets_match_oracle(tiny_instances, small_instances):
+    for inst in tiny_instances + small_instances:
+        expected = [
+            t
+            for t in all_demand_sets(inst)
+            if len(frozenset.intersection(*(inst.approvers(p) for p in t)))
+            * inst.budget
+            >= inst.n * inst.total_cost(t)
+        ]
+        demands = demand_sets(inst)
+        assert [d.t for d in demands] == expected
+        for d in demands:
+            approvers = [i for i in inst.voters if d.t <= inst.approval(i)]
+            assert list(d.approvers) == approvers
+            assert d.cost == inst.total_cost(d.t)
+            # min_size is the smallest group whose budget share covers c(T)
+            assert d.min_size * inst.budget >= inst.n * d.cost
+            assert (d.min_size - 1) * inst.budget < inst.n * d.cost
+        assert demand_sets(inst) is demands  # memoised on the instance
+
+
 def test_group_signatures_cover_all_voter_subsets(tiny_instances):
     for inst in tiny_instances[:15]:
         voters = list(inst.voters)
@@ -218,6 +251,39 @@ def test_audit_all_collects_guard_errors():
     report = audit_all(inst, cost_sat(inst), {"a"})
     assert set(report.guard_errors) == {"pjr1", "localbpjr"}
     assert report.passed("ejr")
+
+
+# ejr passing while ejrx fails breaks the implication lattice
+_BROKEN_LATTICE = """
+from fractions import Fraction
+from pbprop.axioms import AXIOM_CHECKERS, CohesiveWitness, Violation, audit_all
+from pbprop.model import Instance
+from pbprop.satisfaction import cost_sat
+
+inst = Instance.create({"a": 1}, [{"a"}], 1)
+fake = Violation("ejrx", CohesiveWitness(frozenset({"a"}), frozenset({1})),
+                 Fraction(0), Fraction(1))
+AXIOM_CHECKERS["ejr"] = lambda *args, **kwargs: None
+AXIOM_CHECKERS["ejrx"] = lambda *args, **kwargs: fake
+audit_all(inst, cost_sat(inst), set(), ["ejr", "ejrx"])
+"""
+
+
+def test_audit_all_raises_on_broken_lattice(monkeypatch):
+    # the script patches a throwaway copy of the checker table
+    monkeypatch.setattr(axioms, "AXIOM_CHECKERS", dict(AXIOM_CHECKERS))
+    with pytest.raises(InconsistentAuditError):
+        exec(_BROKEN_LATTICE, {})
+    # a typed error, not an assert, so the check survives python -O
+    src = str(Path(pbprop.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_LATTICE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "InconsistentAuditError" in proc.stderr
 
 
 def test_audit_all_rejects_unknown_axiom(shared_big_project):

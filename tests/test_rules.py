@@ -253,6 +253,14 @@ def test_gcr_supports_cc():
     assert w  # coverage value 1 per granted set still drives selection
 
 
+def test_gcr_tie_breaking():
+    # {a} and {b} are both worth 1 and only one fits the budget
+    inst = Instance.create({"a": 1, "b": 1}, [{"a", "b"}], 1)
+    mu = cardinality_sat(inst)
+    assert run_gcr(inst, mu, tie="lex") == frozenset({"a"})
+    assert run_gcr(inst, mu, tie="reverse") == frozenset({"b"})
+
+
 def test_gcr_guard():
     inst = make_instance(0, max_n=3, max_m=5)
     with pytest.raises(GuardExceededError):
