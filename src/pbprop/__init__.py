@@ -17,7 +17,7 @@ from .axioms import (
     check_pjrx,
     is_cohesive,
 )
-from .errors import CapabilityError, GuardExceededError
+from .errors import CapabilityError, GuardExceededError, InvariantError
 from .model import (
     GenParams,
     Instance,

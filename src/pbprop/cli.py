@@ -5,7 +5,8 @@ verify/extract/find), gen (random instances), repro (worked-example suite).
 Machine-readable JSON goes to stdout, a human summary to stderr.
 
 Exit codes: 0 success, 1 parse/IO error, 2 violation/negative verdict,
-3 exponential-search guard exceeded, 64 usage error.
+3 exponential-search guard exceeded, 64 usage error, 70 internal invariant
+broken (a bug in pbprop, never a property of the input).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import axioms, pricing, repro, rules
-from .errors import CapabilityError, GuardExceededError
+from .errors import CapabilityError, GuardExceededError, InvariantError
 from .model import (
     GenParams,
     Instance,
@@ -36,6 +37,7 @@ EXIT_IO = 1
 EXIT_VIOLATION = 2
 EXIT_GUARD = 3
 EXIT_USAGE = 64
+EXIT_INVARIANT = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -356,6 +358,9 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"pb: guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except InvariantError as exc:
+        print(f"pb: internal invariant broken: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ParseError, InstanceError, OSError, json.JSONDecodeError) as exc:
         print(f"pb: {exc}", file=sys.stderr)
         return EXIT_IO

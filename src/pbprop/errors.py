@@ -12,3 +12,8 @@ class GuardExceededError(RuntimeError):
 
 class InconsistentAuditError(RuntimeError):
     """Axiom verdicts break the implication lattice: a checker is wrong."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: the program computed something
+    its own invariants rule out (e.g. rule charges that miss a cost)."""

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InvariantError
+
 
 def solve_lp(
     objective: Sequence[Fraction],
@@ -50,7 +52,8 @@ def solve_lp(
     basis = [art0 + k for k in range(m)]
     cost1 = [Fraction(0)] * total + [Fraction(-1)] * m
     status, value = _run(a, rhs, basis, cost1, range(total))
-    assert status == "optimal"  # phase 1 is always bounded
+    if status != "optimal":
+        raise InvariantError(f"phase 1 ended {status}, but it is always bounded")
     if value != 0:
         return "infeasible", None, None
     for r, bvar in enumerate(basis):

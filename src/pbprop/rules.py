@@ -7,12 +7,14 @@ All arithmetic is exact.
 """
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .axioms import demand_sets
-from .errors import CapabilityError, GuardExceededError
+from .errors import CapabilityError, GuardExceededError, InvariantError
 from .maxflow import FlowNetwork
 from .model import Instance, InstanceError
 from .satisfaction import SatisfactionFunction
@@ -53,7 +55,6 @@ class RuleTrace:
     selections: list[tuple[int, str, Fraction]] = field(default_factory=list)
     payments: dict[str, dict[int, Fraction]] = field(default_factory=dict)
     voter_budgets: dict[int, Fraction] | None = None
-    budget_history: list[dict[int, Fraction]] = field(default_factory=list)
     voter_loads: dict[int, Fraction] | None = None
     delta: Fraction | None = None
     blocking: tuple[str, Fraction] | None = None
@@ -72,6 +73,24 @@ def _additive_value(mu: SatisfactionFunction, p: str) -> Fraction:
     return value
 
 
+def _ladder_rho(
+    ladder: list[tuple[Fraction, int]], cost: Fraction, unit: Fraction
+) -> Fraction | None:
+    """Walk the supporters' budget levels, (budget, voter count) pairs in
+    increasing budget order. Voters below the current level pay their whole
+    budget and the rest split what is left equally; the first level that
+    covers its equal share gives rho. If no level does, the supporters hold
+    less money than the cost."""
+    left = sum(count for _, count in ladder)
+    for budget, count in ladder:
+        share = cost / left
+        if share <= budget:
+            return share / unit
+        cost -= budget * count
+        left -= count
+    return None
+
+
 def min_rho(
     inst: Instance, budgets: Mapping[int, Fraction], mu: SatisfactionFunction, p: str
 ) -> Fraction | None:
@@ -79,70 +98,143 @@ def min_rho(
     i.e. the supporters' capped payments min(b_i, rho*mu(p)) sum to c(p).
     Returns None when the supporters cannot afford p at any rho."""
     unit = _additive_value(mu, p)
-    supporters = sorted(inst.approvers(p))
-    if not supporters:
-        return None
-    ladder = sorted(budgets[i] for i in supporters)
-    cost = inst.costs[p]
-    if sum(ladder) < cost:
-        return None
-    prefix = Fraction(0)
-    count = len(ladder)
-    for k in range(count):
-        # Voters below the ladder step pay their full budget, the rest rho*unit.
-        rho = (cost - prefix) / ((count - k) * unit)
-        if (k == 0 or rho * unit >= ladder[k - 1]) and rho * unit <= ladder[k]:
-            return rho
-        prefix += ladder[k]
-    return ladder[-1] / unit  # everyone pays in full; total equals cost
+    ladder = sorted(Counter(budgets[i] for i in inst.approvers(p)).items())
+    return _ladder_rho(ladder, inst.costs[p], unit)
+
+
+class _VoterClasses:
+    """Voters grouped by an equal running value: the MES budget or the
+    Phragmen load.
+
+    ``value[c]`` is class c's value and ``of[i]`` voter i's class;
+    ``counts[p]`` maps each class to the number of p's supporters in it, for
+    every live candidate p. A rule then evaluates a project on its few
+    classes instead of its many voters. Candidates whose counts change are
+    added to ``stale``.
+    """
+
+    def __init__(self, inst: Instance, candidates: Iterable[str], start: Fraction):
+        self.inst = inst
+        self.value = [start]
+        self._ids = {start: 0}
+        self.of = dict.fromkeys(inst.voters, 0)
+        self.counts = {p: {0: len(inst.approvers(p))} for p in candidates}
+        self.stale: set[str] = set()
+
+    def total(self, voters: Iterable[int]) -> Fraction:
+        """Sum of the voters' values."""
+        per = Counter(self.of[i] for i in voters)
+        return sum((self.value[c] * k for c, k in per.items()), Fraction(0))
+
+    def move(self, p: str, new_value: Mapping[int, Fraction]) -> None:
+        """Move each supporter of p in class c to the class holding
+        ``new_value[c]``, which is created if no class holds that value."""
+        target = {}
+        for c, v in new_value.items():
+            if v not in self._ids:
+                self._ids[v] = len(self.value)
+                self.value.append(v)
+            target[c] = self._ids[v]
+        for i in self.inst.approvers(p):
+            old = self.of[i]
+            new = target[old]
+            if new == old:
+                continue
+            self.of[i] = new
+            for q in self.inst.approval(i):
+                per = self.counts.get(q)
+                if per is None:
+                    continue
+                if per[old] == 1:
+                    del per[old]
+                else:
+                    per[old] -= 1
+                per[new] = per.get(new, 0) + 1
+                self.stale.add(q)
+
+
+def _pop_ties(
+    heap: list[tuple[Fraction, str]],
+    stale: set[str],
+    evaluate: Callable[[str], Fraction | None],
+) -> tuple[Fraction | None, list[str]]:
+    """Pop every project whose exact value is the least in the heap.
+
+    Keys are lower bounds, since a project's value only rises during a run.
+    A stale key is re-evaluated once it reaches the top, and its project is
+    dropped when ``evaluate`` gives None. Returns the least value and the
+    projects at it, or (None, []) when the heap runs empty."""
+    best, tied = None, []
+    while heap and (best is None or heap[0][0] == best):
+        key, p = heapq.heappop(heap)
+        if p in stale:
+            stale.discard(p)
+            value = evaluate(p)
+            if value is not None:
+                heapq.heappush(heap, (value, p))
+        else:
+            best = key
+            tied.append(p)
+    return best, tied
+
+
+def _push_back(
+    heap: list[tuple[Fraction, str]], value: Fraction, tied: list[str], chosen: str
+) -> None:
+    """Return the tied projects that were not chosen to the heap."""
+    for q in tied:
+        if q != chosen:
+            heapq.heappush(heap, (value, q))
 
 
 def run_mes(
     inst: Instance, mu: SatisfactionFunction, tie: str = "lex"
 ) -> tuple[frozenset[str], RuleTrace]:
-    """Method of Equal Shares for an additive satisfaction function."""
+    """Method of Equal Shares for an additive satisfaction function.
+
+    Voters who approve the same chosen projects hold equal budgets, so
+    budgets are kept per voter class. Budgets only fall, so a project's rho
+    only rises: rho values wait in a heap and are recomputed only when they
+    reach the top."""
     if not mu.additive:
         raise CapabilityError("MES requires an additive satisfaction function")
     candidates = [p for p in inst.projects if inst.approvers(p)]
-    for p in candidates:
-        _additive_value(mu, p)
-    budgets = {i: inst.budget / inst.n for i in inst.voters}
+    units = {p: _additive_value(mu, p) for p in candidates}
+    classes = _VoterClasses(inst, candidates, inst.budget / inst.n)
+    budget, counts = classes.value, classes.counts
+
+    def rho(p: str) -> Fraction | None:
+        ladder = sorted((budget[c], k) for c, k in counts[p].items())
+        value = _ladder_rho(ladder, inst.costs[p], units[p])
+        if value is None:
+            del counts[p]  # budgets only fall: p stays unaffordable
+        return value
+
+    heap = [(value, p) for p in candidates if (value := rho(p)) is not None]
+    heapq.heapify(heap)
     trace = RuleTrace(rule="mes", mu_kind=mu.kind)
-    trace.budget_history.append(dict(budgets))
-    chosen: list[str] = []
-    rnd = 0
     while True:
-        offers = {}
-        for p in candidates:
-            if p in chosen:
-                continue
-            rho = min_rho(inst, budgets, mu, p)
-            if rho is not None:
-                offers[p] = rho
-        if not offers:
+        best, tied = _pop_ties(heap, classes.stale, rho)
+        if not tied:
             break
-        rnd += 1
-        best = min(offers.values())
-        p = _pick([q for q, rho in offers.items() if rho == best], tie)
-        unit = mu.per_project[p]
-        charges = {}
-        for i in inst.approvers(p):
-            pay = min(budgets[i], best * unit)
-            if pay > 0:
-                charges[i] = pay
-            budgets[i] -= pay
-        assert sum(charges.values(), Fraction(0)) == inst.costs[p]
-        trace.payments[p] = charges
-        trace.selections.append((rnd, p, best))
-        trace.budget_history.append(dict(budgets))
-        chosen.append(p)
-    outcome = frozenset(chosen)
-    trace.voter_budgets = budgets
+        p = _pick(tied, tie)
+        _push_back(heap, best, tied, p)
+        price = best * units[p]
+        per = counts.pop(p)
+        pay = {c: min(budget[c], price) for c in per}
+        if sum((pay[c] * k for c, k in per.items()), Fraction(0)) != inst.costs[p]:
+            raise InvariantError(f"MES charges for {p!r} do not sum to its cost")
+        trace.payments[p] = {
+            i: pay[classes.of[i]] for i in inst.approvers(p) if pay[classes.of[i]] > 0
+        }
+        trace.selections.append((len(trace.selections) + 1, p, best))
+        classes.move(p, {c: budget[c] - pay[c] for c in per})
+    outcome = frozenset(p for _, p, _ in trace.selections)
+    trace.voter_budgets = {i: budget[classes.of[i]] for i in inst.voters}
     unselected = [p for p in inst.projects if p not in outcome]
     if unselected:
         trace.delta = min(
-            inst.costs[p] - sum((budgets[i] for i in inst.approvers(p)), Fraction(0))
-            for p in unselected
+            inst.costs[p] - classes.total(inst.approvers(p)) for p in unselected
         )
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
@@ -157,51 +249,60 @@ def run_seq_phragmen(
     no longer fits the budget, even if cheaper candidates remain; that
     blocking candidate and its load are recorded for price extraction. With
     ``skip_blocked`` the blocked candidate is dropped instead and the run
-    continues (possibly yielding a larger outcome, without a blocking entry).
+    continues (possibly yielding a larger outcome, without a blocking entry);
+    ``skipped`` lists the dropped candidates in the order they were dropped,
+    those dropped together by id.
+
+    Voters whose last approved chosen project is the same hold equal loads,
+    so loads are kept per voter class. Loads only rise, so a project's load
+    t only rises: t values wait in a heap and are recomputed only when they
+    reach the top.
     """
-    loads = {i: Fraction(0) for i in inst.voters}
     # Candidates are all approved projects, even those costing more than the
     # whole budget: such a project can still win the load argmin and must then
     # trigger the blocking break for the price-extraction bound to hold.
-    pool = {p for p in inst.projects if inst.approvers(p)}
+    pool = [p for p in inst.projects if inst.approvers(p)]
+    size = {p: len(inst.approvers(p)) for p in pool}
+    classes = _VoterClasses(inst, pool, Fraction(0))
+    load, counts = classes.value, classes.counts
+
+    def t(p: str) -> Fraction:
+        paid = sum((load[c] * k for c, k in counts[p].items()), Fraction(0))
+        return (inst.costs[p] + paid) / size[p]
+
+    heap = [(t(p), p) for p in pool]
+    heapq.heapify(heap)
     trace = RuleTrace(rule="phragmen")
-    chosen: list[str] = []
     spent = Fraction(0)
-    rnd = 0
     while True:
-        remaining = [p for p in pool if p not in chosen]
-        if not remaining:
+        t_min, argmin = _pop_ties(heap, classes.stale, t)
+        if not argmin:
             break
-        t_vals = {
-            p: (inst.costs[p] + sum(loads[i] for i in inst.approvers(p)))
-            / len(inst.approvers(p))
-            for p in remaining
-        }
-        t_min = min(t_vals.values())
-        argmin = [p for p in remaining if t_vals[p] == t_min]
-        over = [p for p in argmin if spent + inst.costs[p] > inst.budget]
+        over = sorted(p for p in argmin if spent + inst.costs[p] > inst.budget)
         if over:
-            if skip_blocked:
-                for p in over:
-                    pool.discard(p)
-                    trace.skipped.append(p)
+            if not skip_blocked:
+                trace.blocking = (_pick(over, tie), t_min)
+                break
+            for p in over:
+                del counts[p]
+            trace.skipped.extend(over)
+            argmin = [p for p in argmin if p not in over]
+            if not argmin:
                 continue
-            blocked = _pick(over, tie)
-            trace.blocking = (blocked, t_min)
-            break
-        rnd += 1
         p = _pick(argmin, tie)
-        charges = {}
-        for i in inst.approvers(p):
-            charges[i] = t_min - loads[i]
-            loads[i] = t_min
-        assert sum(charges.values(), Fraction(0)) == inst.costs[p]
-        trace.payments[p] = {i: amt for i, amt in charges.items() if amt > 0}
-        trace.selections.append((rnd, p, t_min))
-        chosen.append(p)
+        _push_back(heap, t_min, argmin, p)
+        per = counts.pop(p)
+        charge = {c: t_min - load[c] for c in per}
+        if sum((charge[c] * k for c, k in per.items()), Fraction(0)) != inst.costs[p]:
+            raise InvariantError(f"Phragmen charges for {p!r} do not sum to its cost")
+        trace.payments[p] = {
+            i: charge[classes.of[i]] for i in inst.approvers(p) if charge[classes.of[i]] > 0
+        }
+        trace.selections.append((len(trace.selections) + 1, p, t_min))
+        classes.move(p, dict.fromkeys(per, t_min))
         spent += inst.costs[p]
-    outcome = frozenset(chosen)
-    trace.voter_loads = loads
+    outcome = frozenset(p for _, p, _ in trace.selections)
+    trace.voter_loads = {i: load[classes.of[i]] for i in inst.voters}
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
 
@@ -254,7 +355,8 @@ def balance_loads(inst: Instance, w: Iterable[str]) -> LoadAssignment:
         short = [p for p in w if p_node[p] not in reach]
         group = set().union(*(supporters[p] for p in short))
         better = sum((inst.costs[p] for p in short), Fraction(0)) / len(group)
-        assert better > lam
+        if better <= lam:
+            raise InvariantError("the min cut did not raise the load cap")
         lam = better
     loads = {
         p: {
@@ -266,7 +368,8 @@ def balance_loads(inst: Instance, w: Iterable[str]) -> LoadAssignment:
     }
     assignment = LoadAssignment(loads=loads, max_load=lam)
     totals = assignment.voter_totals()
-    assert max(totals.values()) == lam
+    if max(totals.values()) != lam:
+        raise InvariantError("balanced loads do not reach the optimal cap")
     return assignment
 
 

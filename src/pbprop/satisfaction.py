@@ -41,7 +41,9 @@ class SatisfactionFunction:
     """A monotone set function over projects with declared capability flags.
 
     For additive kinds ``per_project`` holds the exact per-project values;
-    ``value`` sums them. The cc kind is the only non-additive built-in.
+    ``value`` sums them and keeps each sum per set, while a set it cannot
+    value raises again on every call. The cc kind is the only non-additive
+    built-in.
     """
 
     kind: str
@@ -49,9 +51,15 @@ class SatisfactionFunction:
     cost_neutral: bool
     strictly_increasing: bool
     per_project: Mapping[str, Fraction] | None = field(default=None)
+    _values: dict[frozenset[str], Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def value(self, s: Iterable[str]) -> Fraction:
         s = frozenset(s)
+        total = self._values.get(s)
+        if total is not None:
+            return total
         if self.kind == "cc":
             return Fraction(0) if not s else Fraction(1)
         assert self.per_project is not None
@@ -63,6 +71,7 @@ class SatisfactionFunction:
                 if self.kind == "share":
                     raise UndefinedShareError(f"project {p!r} has no approvers")
                 raise KeyError(f"no satisfaction value for project {p!r}")
+        self._values[s] = total
         return total
 
 

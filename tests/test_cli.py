@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pbprop
+from pbprop import rules
 from pbprop.cli import main
 from pbprop.model import Instance, emit_json, parse_json
 
@@ -80,6 +86,41 @@ def test_run_skip_blocked_flag(capsys, inst_file):
     trace = json.loads(out)["trace"]
     assert "blocking" not in trace
     assert trace["skipped"] == ["p1"]
+
+
+def test_skipped_order_ignores_hash_seed(tmp_path):
+    inst = Instance.create(
+        {"a": 3, "b": 3, "c": 3, "d": 3, "e": 1}, [{"a", "b", "c", "d", "e"}], 2
+    )
+    path = tmp_path / "inst.json"
+    path.write_text(emit_json(inst))
+    src = str(Path(pbprop.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "pbprop.cli", "run", "--rule", "phragmen",
+             "--skip-blocked", str(path)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+        ).stdout
+        for seed in ("0", "5")
+    ]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["trace"]["skipped"] == ["a", "b", "c", "d"]
+
+
+def test_invariant_error_exit_code(capsys, inst_file, monkeypatch):
+    pop_ties = rules._pop_ties
+
+    def underpriced(heap, stale, evaluate):
+        best, tied = pop_ties(heap, stale, evaluate)
+        return (None if best is None else best / 2), tied
+
+    monkeypatch.setattr(rules, "_pop_ties", underpriced)
+    code, out, err = run_cli(capsys, "run", "--rule", "mes", inst_file)
+    assert code == 70
+    assert out == ""
+    assert "internal invariant broken" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbprop
 from conftest import make_instance
-from oracles import max_load_oracle
+from oracles import eager_mes, eager_min_rho, eager_phragmen, max_load_oracle
 from pbprop.errors import CapabilityError, GuardExceededError
 from pbprop.model import Instance, InstanceError
 from pbprop.repro import best_outcome_example, shared_big_project_example
@@ -17,7 +23,7 @@ from pbprop.rules import (
     run_mes,
     run_seq_phragmen,
 )
-from pbprop.satisfaction import cardinality_sat, cc_sat, cost_sat
+from pbprop.satisfaction import BUILTINS, cardinality_sat, cc_sat, cost_sat, table_sat
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +69,21 @@ def test_min_rho_capability_errors(shared_big_project):
     budgets = {1: Fraction(1), 2: Fraction(1)}
     with pytest.raises(CapabilityError):
         min_rho(inst, budgets, cc_sat(), "p1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cost=st.integers(1, 12),
+    unit=st.fractions(min_value=Fraction(1, 4), max_value=4),
+    budgets=st.lists(st.fractions(min_value=0, max_value=5, max_denominator=6),
+                     min_size=1, max_size=7),
+)
+def test_min_rho_matches_voter_by_voter_walk(cost, unit, budgets):
+    # repeated budget values exercise the grouped ladder levels
+    inst = Instance.create({"a": cost}, [{"a"}] * len(budgets), 1)
+    by_voter = dict(zip(inst.voters, budgets))
+    mu = table_sat({"a": unit})
+    assert min_rho(inst, by_voter, mu, "a") == eager_min_rho(inst, by_voter, mu, "a")
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +293,114 @@ def test_gcr_outcome_feasible_random():
         inst = make_instance(seed, max_n=5, max_m=6)
         w = run_gcr(inst, cost_sat(inst))
         assert inst.is_outcome(w)
+
+
+# ---------------------------------------------------------------------------
+# Lazy class-based MES and Phragmen against the eager per-voter references
+
+
+def tie_heavy_instance(seed):
+    """Few distinct costs and a few repeated ballots, so values tie often."""
+    rng = random.Random(seed)
+    projects = [f"p{j}" for j in range(rng.randint(2, 7))]
+    costs = {p: rng.choice((2, 2, 4)) for p in projects}
+    bundles = [rng.sample(projects, rng.randint(1, len(projects)))
+               for _ in range(rng.randint(1, 3))]
+    ballots = [rng.choice(bundles) for _ in range(rng.randint(1, 10))]
+    return Instance.create(costs, ballots, rng.randint(2, sum(costs.values())))
+
+
+@pytest.fixture(scope="module")
+def cross_check_pool():
+    return (
+        [make_instance(seed) for seed in range(60)]
+        + [make_instance(seed, unit_cost=True) for seed in range(30)]
+        + [tie_heavy_instance(seed) for seed in range(90)]
+    )
+
+
+def _same_run(run, reference, fields):
+    assert run[0] == reference[0]
+    for name in fields:
+        assert getattr(run[1], name) == getattr(reference[1], name), name
+
+
+@pytest.mark.parametrize("tie", ["lex", "reverse"])
+@pytest.mark.parametrize("sat", ["cost", "card", "sqrt", "log", "share"])
+def test_mes_matches_eager_reference(cross_check_pool, sat, tie):
+    fields = ("selections", "payments", "voter_budgets", "delta", "exhaustive",
+              "mu_kind")
+    for inst in cross_check_pool:
+        mu = BUILTINS[sat](inst)
+        _same_run(run_mes(inst, mu, tie=tie), eager_mes(inst, mu, tie=tie), fields)
+
+
+@pytest.mark.parametrize("skip_blocked", [False, True])
+@pytest.mark.parametrize("tie", ["lex", "reverse"])
+def test_phragmen_matches_eager_reference(cross_check_pool, tie, skip_blocked):
+    fields = ("selections", "payments", "voter_loads", "blocking", "skipped",
+              "exhaustive")
+    for inst in cross_check_pool:
+        _same_run(
+            run_seq_phragmen(inst, tie=tie, skip_blocked=skip_blocked),
+            eager_phragmen(inst, tie=tie, skip_blocked=skip_blocked),
+            fields,
+        )
+
+
+# Each consistency check of the rules and the LP, broken on purpose; the
+# script prints the name of every check that still raised InvariantError.
+_BROKEN_INVARIANTS = """
+from fractions import Fraction
+from pbprop import lp, rules
+from pbprop.errors import InvariantError
+from pbprop.maxflow import FlowNetwork
+from pbprop.model import Instance
+from pbprop.satisfaction import cost_sat
+
+inst = Instance.create({"a": 2, "b": 1}, [{"a", "b"}, {"a"}], 3)
+pop_ties = rules._pop_ties
+
+
+def underpriced(heap, stale, evaluate):
+    best, tied = pop_ties(heap, stale, evaluate)
+    return (None if best is None else best / 2), tied
+
+
+def no_flow(net, s, t):
+    return Fraction(0)
+
+
+def broken_checks():
+    rules._pop_ties = underpriced
+    yield "mes", lambda: rules.run_mes(inst, cost_sat(inst))
+    yield "phragmen", lambda: rules.run_seq_phragmen(inst)
+    rules._pop_ties = pop_ties
+    FlowNetwork.max_flow = no_flow
+    FlowNetwork.reachable = lambda net, s: {s}
+    yield "balance_loads", lambda: rules.balance_loads(inst, {"a"})
+    lp._run = lambda *args: ("unbounded", None)
+    yield "lp", lambda: lp.solve_lp([Fraction(1)], [[Fraction(1)]], [Fraction(1)])
+
+
+for name, call in broken_checks():
+    try:
+        call()
+    except InvariantError:
+        print(name)
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = str(Path(pbprop.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["mes", "phragmen", "balance_loads", "lp"]
 
 
 @settings(max_examples=25, deadline=None)

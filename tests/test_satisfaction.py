@@ -67,6 +67,23 @@ def test_share_undefined_on_unapproved_project():
         mu.value({"b"})
 
 
+def test_value_keeps_sums_but_not_failures():
+    inst = Instance.create({"a": 1, "b": 1}, [{"a"}], 2)
+    mu = share_sat(inst)
+    assert mu.value(["a"]) == mu.value({"a"}) == 1
+    assert mu.value(set()) == 0
+    for _ in range(2):  # a failed evaluation raises on every call
+        with pytest.raises(UndefinedShareError):
+            mu.value({"a", "b"})
+        with pytest.raises(KeyError):
+            cost_sat(inst).value({"zz"})
+    table = table_sat({"a": 2})
+    assert table.value({"a"}) == 2
+    with pytest.raises(KeyError):
+        table.value({"a", "b"})
+    assert table.value({"a"}) == 2
+
+
 def test_share_value_on_priceable_example():
     inst = priceable_not_pjrx_example()
     assert share_sat(inst).value({"p1"}) == 2  # cost 4, two approvers
