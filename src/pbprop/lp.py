@@ -1,8 +1,11 @@
 """Exact linear programming over rationals (two-phase simplex, Bland's rule).
 
-Small and dense on purpose: the price-system searches produce LPs with at
-most a few hundred variables, and exact Fraction pivots keep every
-feasibility decision sound.
+Every pivot is an exact Fraction pivot, so every feasibility decision is
+sound. The tableau is sparse: each row is a dict of its nonzero entries,
+and the reduced-cost row of the current objective, with minus the
+objective value as its right-hand side, is kept as the last row and
+updated by each pivot like any other row. Artificial columns are never
+stored, since an artificial never re-enters the basis once it leaves.
 """
 from __future__ import annotations
 
@@ -24,88 +27,92 @@ def solve_lp(
     Returns (status, x, value) with status one of "optimal", "infeasible",
     "unbounded"; x and value are None unless optimal.
     """
-    n = len(objective)
-    cost_real = [Fraction(v) for v in objective]
-    rows = [[Fraction(v) for v in r] for r in a_ub]
-    rows += [[Fraction(v) for v in r] for r in a_eq]
+    n, n_ub = len(objective), len(a_ub)
+    total = n + n_ub  # structural and slack columns; artificials come after
     rhs = [Fraction(v) for v in b_ub] + [Fraction(v) for v in b_eq]
-    n_ub = len(rows) - len(list(a_eq))
-    m = len(rows)
-    total = n + n_ub
-    a = []
-    for k, row in enumerate(rows):
-        if len(row) != n:
+    rows: list[dict[int, Fraction]] = []
+    for k, dense in enumerate([*a_ub, *a_eq]):
+        if len(dense) != n:
             raise ValueError("constraint row length does not match objective")
-        full = row + [Fraction(0)] * n_ub
+        row = {j: Fraction(v) for j, v in enumerate(dense) if v}
         if k < n_ub:
-            full[n + k] = Fraction(1)
-        a.append(full)
-    for k in range(m):
+            row[n + k] = Fraction(1)
         if rhs[k] < 0:
-            a[k] = [-v for v in a[k]]
+            row = {j: -v for j, v in row.items()}
             rhs[k] = -rhs[k]
+        rows.append(row)
     # Phase 1: one artificial variable per row, minimize their total.
-    art0 = total
-    for k in range(m):
-        for r in range(m):
-            a[r].append(Fraction(1) if r == k else Fraction(0))
-    basis = [art0 + k for k in range(m)]
-    cost1 = [Fraction(0)] * total + [Fraction(-1)] * m
-    status, value = _run(a, rhs, basis, cost1, range(total))
-    if status != "optimal":
-        raise InvariantError(f"phase 1 ended {status}, but it is always bounded")
-    if value != 0:
+    basis = [total + k for k in range(len(rows))]
+    _append_objective(rows, rhs, basis, {b: Fraction(-1) for b in basis}, total)
+    if _run(rows, rhs, basis) != "optimal":
+        raise InvariantError("phase 1 ended unbounded, but it is always bounded")
+    if rhs.pop() != 0:
         return "infeasible", None, None
-    for r, bvar in enumerate(basis):
-        if bvar >= art0:
-            piv = next((j for j in range(total) if a[r][j] != 0), None)
-            if piv is not None:
-                _pivot(a, rhs, basis, r, piv)
-            # else: redundant 0=0 row; the artificial stays basic at zero.
-    cost2 = cost_real + [Fraction(0)] * (n_ub + m)
-    status, value = _run(a, rhs, basis, cost2, range(total))
+    rows.pop()
+    for r, b in enumerate(basis):
+        if b >= total and rows[r]:
+            _pivot(rows, rhs, basis, r, min(rows[r]))
+        # else: redundant 0=0 row; the artificial stays basic at zero.
+    cost = {j: Fraction(v) for j, v in enumerate(objective) if v}
+    _append_objective(rows, rhs, basis, cost, total)
+    status = _run(rows, rhs, basis)
     if status != "optimal":
         return status, None, None
     x = [Fraction(0)] * n
-    for r, bvar in enumerate(basis):
-        if bvar < n:
-            x[bvar] = rhs[r]
-    return "optimal", x, value
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = rhs[r]
+    return "optimal", x, -rhs[-1]
 
 
-def _pivot(a, rhs, basis, r, c) -> None:
-    inv = 1 / a[r][c]
-    a[r] = [v * inv for v in a[r]]
+def _append_objective(rows, rhs, basis, cost, total) -> None:
+    """Append the reduced costs of ``cost`` (column -> coefficient) in the
+    current basis as the last row, with minus its value as right-hand side."""
+    z = {j: c for j, c in cost.items() if j < total}
+    neg_value = Fraction(0)
+    for row, b, value in zip(rows, basis, rhs):
+        f = cost.get(b)
+        if f:
+            neg_value -= f * value
+            for j, v in row.items():
+                z[j] = z.get(j, 0) - f * v
+    rows.append({j: v for j, v in z.items() if v})
+    rhs.append(neg_value)
+
+
+def _pivot(rows, rhs, basis, r, c) -> None:
+    pivot_row = rows[r]
+    inv = 1 / pivot_row[c]
+    for j in pivot_row:
+        pivot_row[j] *= inv
     rhs[r] *= inv
-    row_r = a[r]
-    for k in range(len(a)):
-        if k != r and a[k][c] != 0:
-            f = a[k][c]
-            a[k] = [v - f * w for v, w in zip(a[k], row_r)]
-            rhs[k] -= f * rhs[r]
+    for k, row in enumerate(rows):
+        f = row.get(c)
+        if f is None or k == r:
+            continue
+        for j, v in pivot_row.items():
+            new = row.get(j, 0) - f * v
+            if new:
+                row[j] = new
+            else:
+                del row[j]
+        rhs[k] -= f * rhs[r]
     basis[r] = c
 
 
-def _run(a, rhs, basis, cost, allowed) -> tuple[str, Fraction | None]:
-    m = len(a)
+def _run(rows, rhs, basis) -> str:
+    """Pivot on the objective row ``rows[-1]`` until it is optimal. Bland's
+    rule: the lowest column with a positive reduced cost enters; the row of
+    minimum ratio leaves, ties going to the lowest basic index."""
     while True:
-        dual = [cost[b] for b in basis]
-        entering = None
-        for j in allowed:  # Bland's rule: first improving column
-            reduced = cost[j] - sum(dual[r] * a[r][j] for r in range(m))
-            if reduced > 0:
-                entering = j
-                break
+        entering = min((j for j, v in rows[-1].items() if v > 0), default=None)
         if entering is None:
-            return "optimal", sum(dual[r] * rhs[r] for r in range(m))
-        leaving = None
-        for r in range(m):
-            if a[r][entering] > 0:
-                ratio = rhs[r] / a[r][entering]
-                if leaving is None or ratio < leaving[0] or (
-                    ratio == leaving[0] and basis[r] < leaving[1]
-                ):
-                    leaving = (ratio, basis[r], r)
-        if leaving is None:
-            return "unbounded", None
-        _pivot(a, rhs, basis, leaving[2], entering)
+            return "optimal"
+        ratios = [
+            (rhs[r] / row[entering], basis[r], r)
+            for r, row in enumerate(rows[:-1])
+            if row.get(entering, 0) > 0
+        ]
+        if not ratios:
+            return "unbounded"
+        _pivot(rows, rhs, basis, min(ratios)[2], entering)

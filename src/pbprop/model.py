@@ -243,11 +243,17 @@ def parse_json(text: str) -> Instance:
         approvals = data["approvals"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(f"'n' must be an integer, not {n!r}")
     if not isinstance(projects, list) or not isinstance(approvals, list):
         raise ParseError("'projects' and 'approvals' must be lists")
+    if not all(isinstance(ballot, list) for ballot in approvals):
+        raise ParseError("each ballot in 'approvals' must be a list of project ids")
     costs: dict[str, Fraction] = {}
     for entry in projects:
         try:
+            if entry["id"] in costs:
+                raise ParseError(f"duplicate project id {entry['id']!r}")
             costs[entry["id"]] = parse_money(entry["cost"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed project entry {entry!r}") from exc

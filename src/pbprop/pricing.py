@@ -103,31 +103,34 @@ def verify_price_system(
         if name not in verdicts:
             verdicts[name] = (False, witness)
 
+    share = ps.budget / inst.n
+    spent: dict[int, Fraction] = {}
+    payers: dict[str, dict[int, Fraction]] = {}  # project -> voter -> amount
     for i in inst.voters:
         for p, amount in ps.payments.get(i, {}).items():
             if amount > 0 and p not in inst.approval(i):
                 fail_first("C1", (i, p))
             if amount > 0 and p not in w:
                 fail_first("C2", (i, p))
-        if ps.spent(i) > ps.budget / inst.n:
+            payers.setdefault(p, {})[i] = amount
+        spent[i] = ps.spent(i)
+        if spent[i] > share:
             fail_first("C3", (i,))
-    for p in sorted(w):
-        paid = sum((ps.payments.get(i, {}).get(p, Fraction(0)) for i in inst.voters),
-                   Fraction(0))
-        if paid != inst.costs[p]:
+    chosen = sorted(w)
+    for p in chosen:
+        if sum(payers.get(p, {}).values(), Fraction(0)) != inst.costs[p]:
             fail_first("C4", (p,))
     unchosen = [p for p in inst.projects if p not in w]
-    for p in unchosen:
-        pooled = sum((ps.leftover(i, inst.n) for i in inst.approvers(p)), Fraction(0))
+    for p in unchosen:  # the approvers' pooled leftover, B_i* = B/n - spent
+        group = inst.approvers(p)
+        pooled = len(group) * share - sum((spent[i] for i in group), Fraction(0))
         if pooled > inst.costs[p]:
             fail_first("C5", (p,))
     for pj in unchosen:
         group = inst.approvers(pj)
-        for pk in sorted(w):
-            towards = sum(
-                (ps.payments.get(i, {}).get(pk, Fraction(0)) for i in group),
-                Fraction(0),
-            )
+        for pk in chosen:
+            per = payers.get(pk, {})
+            towards = sum((a for i, a in per.items() if i in group), Fraction(0))
             if towards > inst.costs[pj]:
                 fail_first("C6", (pj, pk))
     for name in CONDITIONS:
@@ -183,67 +186,6 @@ def extract_from_phragmen_trace(inst: Instance, trace: RuleTrace) -> PriceSystem
     return PriceSystem(budget=budget, payments=_invert(trace.payments))
 
 
-def _payments_at_budget(
-    inst: Instance, w: list[str], budget: Fraction
-) -> dict[int, dict[str, Fraction]] | None:
-    """Exact feasibility problem for payments at a fixed virtual budget:
-    C1/C2 by variable choice, C3-C6 as linear rows."""
-    pay_vars = [(i, p) for p in w for i in sorted(inst.approvers(p))]
-    col = {key: k for k, key in enumerate(pay_vars)}
-    width = len(pay_vars)
-
-    def row() -> list[Fraction]:
-        return [Fraction(0)] * width
-
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    share = budget / inst.n
-    for i in inst.voters:  # C3
-        mine = [key for key in pay_vars if key[0] == i]
-        if not mine:
-            continue
-        r = row()
-        for key in mine:
-            r[col[key]] = Fraction(1)
-        a_ub.append(r)
-        b_ub.append(share)
-    for p in w:  # C4
-        r = row()
-        for i in inst.approvers(p):
-            r[col[(i, p)]] = Fraction(1)
-        a_eq.append(r)
-        b_eq.append(inst.costs[p])
-    for pj in inst.projects:  # C5 and C6
-        if pj in set(w):
-            continue
-        group = inst.approvers(pj)
-        if not group:
-            continue
-        r = row()
-        for i, p in pay_vars:
-            if i in group:
-                r[col[(i, p)]] -= Fraction(1)
-        a_ub.append(r)
-        b_ub.append(inst.costs[pj] - len(group) * share)
-        for pk in w:
-            r = row()
-            nonzero = False
-            for i in group & inst.approvers(pk):
-                r[col[(i, pk)]] = Fraction(1)
-                nonzero = True
-            if nonzero:
-                a_ub.append(r)
-                b_ub.append(inst.costs[pj])
-    status, x, _ = solve_lp(row(), a_ub, b_ub, a_eq, b_eq)
-    if status != "optimal":
-        return None
-    payments: dict[int, dict[str, Fraction]] = {}
-    for key, c_idx in col.items():
-        if x[c_idx] > 0:
-            i, p = key
-            payments.setdefault(i, {})[p] = x[c_idx]
-    return payments
-
-
 def extract_from_maximin_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
     """Price system from a maximin support run that stopped at a blocking
     project: B = n * max load of the blocked balanced configuration. The
@@ -258,17 +200,21 @@ def extract_from_maximin_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
         raise ExtractionUnavailableError(
             "no blocking project: the run exhausted its candidates"
         )
+    w = sorted(trace.payments)
     budget = inst.n * trace.blocking_loads.max_load
     ps = PriceSystem(budget=budget, payments=_invert(trace.payments))
-    report = verify_price_system(inst, sorted(trace.payments), ps)
+    report = verify_price_system(inst, w, ps)
     if all(report.verdicts[c][0] for c in CONDITIONS):
         return ps
-    repaired = _payments_at_budget(inst, sorted(trace.payments), budget)
-    if repaired is None:
+    pay_vars = _payment_vars(inst, w)
+    status, x, _ = _solve_price_lp(
+        inst, w, pay_vars, Fraction(0), require_c6=True, pinned_budget=budget
+    )
+    if status != "optimal":
         raise ExtractionUnavailableError(
             "no condition-respecting payments exist at the blocked budget"
         )
-    return PriceSystem(budget=budget, payments=repaired)
+    return PriceSystem(budget=budget, payments=_payments(pay_vars, x))
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +235,49 @@ def find_price_system(
     w = sorted(set(outcome))
     if inst.total_cost(w) > inst.budget:
         raise InstanceError("outcome exceeds the budget")
-    pay_vars = [(i, p) for p in w for i in sorted(inst.approvers(p))]
+    pay_vars = _payment_vars(inst, w)
     if len(pay_vars) > max_payment_vars:
         raise GuardExceededError(
             f"{len(pay_vars)} payment variables exceed guard {max_payment_vars}"
         )
-    # Variables: x = [t, B, d_(i,p)...], all nonnegative.
-    col = {("t",): 0, ("B",): 1}
-    for k, key in enumerate(pay_vars):
-        col[key] = 2 + k
+    lower = inst.budget if require_b_strict else Fraction(0)
+    status, x, value = _solve_price_lp(inst, w, pay_vars, lower, require_c6)
+    if status != "optimal" or (require_b_strict and value <= 0):
+        return None
+    return PriceSystem(budget=x[1], payments=_payments(pay_vars, x))
+
+
+def _payment_vars(inst: Instance, w: list[str]) -> list[tuple[int, str]]:
+    """C1 and C2 by variable choice: one d_i(p) per chosen p and approver i."""
+    return [(i, p) for p in w for i in sorted(inst.approvers(p))]
+
+
+def _payments(pay_vars, x) -> dict[int, dict[str, Fraction]]:
+    payments: dict[int, dict[str, Fraction]] = {}
+    for (i, p), amount in zip(pay_vars, x[2:]):
+        if amount > 0:
+            payments.setdefault(i, {})[p] = amount
+    return payments
+
+
+def _solve_price_lp(
+    inst: Instance,
+    w: list[str],
+    pay_vars: list[tuple[int, str]],
+    lower: Fraction,
+    require_c6: bool,
+    pinned_budget: Fraction | None = None,
+):
+    """Solve the price-system LP over x = [t, B, d_(i,p)...] >= 0: maximize
+    t subject to B >= lower + t, t <= b + 1, C3-C5 (and C6) as rows, and,
+    when ``pinned_budget`` is given, one last equality row B = pinned_budget."""
+    col = {key: 2 + k for k, key in enumerate(pay_vars)}
     width = 2 + len(pay_vars)
 
     def row() -> list[Fraction]:
         return [Fraction(0)] * width
 
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    lower = inst.budget if require_b_strict else Fraction(0)
     r = row()  # t - B <= -lower, i.e. B >= lower + t
     r[0], r[1] = Fraction(1), Fraction(-1)
     a_ub.append(r)
@@ -329,7 +302,7 @@ def find_price_system(
             r[col[(i, p)]] = Fraction(1)
         a_eq.append(r)
         b_eq.append(inst.costs[p])
-    unchosen = [p for p in inst.projects if p not in set(w)]
+    unchosen = [p for p in inst.projects if p not in w]
     for pj in unchosen:  # C5: |N_j| B/n - sum_{i in N_j} sum_p d_i(p) <= c(p_j)
         group = inst.approvers(pj)
         if not group:
@@ -345,23 +318,19 @@ def find_price_system(
         for pj in unchosen:  # C6: sum_{i in N_j} d_i(p_k) <= c(p_j)
             group = inst.approvers(pj)
             for pk in w:
+                payers = group & inst.approvers(pk)
+                if not payers:
+                    continue
                 r = row()
-                nonzero = False
-                for i in group & inst.approvers(pk):
+                for i in payers:
                     r[col[(i, pk)]] = Fraction(1)
-                    nonzero = True
-                if nonzero:
-                    a_ub.append(r)
-                    b_ub.append(inst.costs[pj])
+                a_ub.append(r)
+                b_ub.append(inst.costs[pj])
+    if pinned_budget is not None:
+        r = row()
+        r[1] = Fraction(1)
+        a_eq.append(r)
+        b_eq.append(pinned_budget)
     objective = row()
     objective[0] = Fraction(1)
-    status, x, value = solve_lp(objective, a_ub, b_ub, a_eq, b_eq)
-    if status != "optimal":
-        return None
-    if require_b_strict and value <= 0:
-        return None
-    payments: dict[int, dict[str, Fraction]] = {}
-    for (i, p), c_idx in ((key, col[key]) for key in pay_vars):
-        if x[c_idx] > 0:
-            payments.setdefault(i, {})[p] = x[c_idx]
-    return PriceSystem(budget=x[1], payments=payments)
+    return solve_lp(objective, a_ub, b_ub, a_eq, b_eq)

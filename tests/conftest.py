@@ -36,6 +36,19 @@ def random_outcome(inst, seed):
     return frozenset(chosen)
 
 
+# JSON instances that parse_json must reject, each with a fragment of the error
+MALFORMED_JSON = {
+    "duplicate-id": ('{"n": 1, "budget": "2", "projects": [{"id": "a", "cost": "1"},'
+                     ' {"id": "a", "cost": "2"}], "approvals": [["a"]]}',
+                     "duplicate project id 'a'"),
+    "bool-n": ('{"n": true, "budget": "2", "projects": [{"id": "a", "cost": "1"}],'
+               ' "approvals": [["a"]]}', "'n' must be an integer"),
+    "string-ballot": ('{"n": 1, "budget": "2", "projects": [{"id": "a", "cost": "1"},'
+                      ' {"id": "b", "cost": "1"}], "approvals": ["ab"]}',
+                      "must be a list of project ids"),
+}
+
+
 @pytest.fixture(scope="session")
 def small_instances():
     return [make_instance(seed) for seed in range(60)]

@@ -193,3 +193,153 @@ def eager_phragmen(inst, tie="lex", skip_blocked=False):
     trace.voter_loads = loads
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
+
+
+# ---------------------------------------------------------------------------
+# Dense reference simplex: recomputes every reduced cost on every pivot over
+# a dense Fraction tableau, with the same pivot rules as pbprop.lp.
+
+
+def dense_solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """Maximize objective.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0;
+    returns (status, x, value) exactly like pbprop.lp.solve_lp."""
+    n = len(objective)
+    cost_real = [Fraction(v) for v in objective]
+    rows = [[Fraction(v) for v in r] for r in a_ub]
+    rows += [[Fraction(v) for v in r] for r in a_eq]
+    rhs = [Fraction(v) for v in b_ub] + [Fraction(v) for v in b_eq]
+    n_ub = len(rows) - len(list(a_eq))
+    m = len(rows)
+    total = n + n_ub
+    a = []
+    for k, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError("constraint row length does not match objective")
+        full = row + [Fraction(0)] * n_ub
+        if k < n_ub:
+            full[n + k] = Fraction(1)
+        a.append(full)
+    for k in range(m):
+        if rhs[k] < 0:
+            a[k] = [-v for v in a[k]]
+            rhs[k] = -rhs[k]
+    art0 = total
+    for k in range(m):
+        for r in range(m):
+            a[r].append(Fraction(1) if r == k else Fraction(0))
+    basis = [art0 + k for k in range(m)]
+    cost1 = [Fraction(0)] * total + [Fraction(-1)] * m
+    status, value = _dense_run(a, rhs, basis, cost1, range(total))
+    assert status == "optimal"
+    if value != 0:
+        return "infeasible", None, None
+    for r, bvar in enumerate(basis):
+        if bvar >= art0:
+            piv = next((j for j in range(total) if a[r][j] != 0), None)
+            if piv is not None:
+                _dense_pivot(a, rhs, basis, r, piv)
+    cost2 = cost_real + [Fraction(0)] * (n_ub + m)
+    status, value = _dense_run(a, rhs, basis, cost2, range(total))
+    if status != "optimal":
+        return status, None, None
+    x = [Fraction(0)] * n
+    for r, bvar in enumerate(basis):
+        if bvar < n:
+            x[bvar] = rhs[r]
+    return "optimal", x, value
+
+
+def _dense_pivot(a, rhs, basis, r, c):
+    inv = 1 / a[r][c]
+    a[r] = [v * inv for v in a[r]]
+    rhs[r] *= inv
+    row_r = a[r]
+    for k in range(len(a)):
+        if k != r and a[k][c] != 0:
+            f = a[k][c]
+            a[k] = [v - f * w for v, w in zip(a[k], row_r)]
+            rhs[k] -= f * rhs[r]
+    basis[r] = c
+
+
+def _dense_run(a, rhs, basis, cost, allowed):
+    m = len(a)
+    while True:
+        dual = [cost[b] for b in basis]
+        entering = None
+        for j in allowed:  # Bland's rule: first improving column
+            reduced = cost[j] - sum(dual[r] * a[r][j] for r in range(m))
+            if reduced > 0:
+                entering = j
+                break
+        if entering is None:
+            return "optimal", sum(dual[r] * rhs[r] for r in range(m))
+        leaving = None
+        for r in range(m):
+            if a[r][entering] > 0:
+                ratio = rhs[r] / a[r][entering]
+                if leaving is None or ratio < leaving[0] or (
+                    ratio == leaving[0] and basis[r] < leaving[1]
+                ):
+                    leaving = (ratio, basis[r], r)
+        if leaving is None:
+            return "unbounded", None
+        _dense_pivot(a, rhs, basis, leaving[2], entering)
+
+
+# ---------------------------------------------------------------------------
+# Reference price-system verification: every condition re-summed from the
+# payment dicts, voter by voter, as the conditions are stated.
+
+
+def reference_verify_price_system(inst, outcome, ps):
+    """Verdicts and first witnesses of C1-C6, as pbprop.pricing must give."""
+    from pbprop.model import InstanceError
+    from pbprop.pricing import CONDITIONS, PriceReport
+
+    w = frozenset(outcome)
+    inst.total_cost(w)
+    for i, per in ps.payments.items():
+        if not 1 <= i <= inst.n:
+            raise InstanceError(f"payment from unknown voter {i}")
+        for p, amount in per.items():
+            if p not in inst.costs:
+                raise InstanceError(f"payment on unknown project {p!r}")
+            if amount < 0:
+                raise InstanceError(f"negative payment by voter {i} on {p!r}")
+    verdicts = {}
+
+    def fail_first(name, witness):
+        if name not in verdicts:
+            verdicts[name] = (False, witness)
+
+    for i in inst.voters:
+        for p, amount in ps.payments.get(i, {}).items():
+            if amount > 0 and p not in inst.approval(i):
+                fail_first("C1", (i, p))
+            if amount > 0 and p not in w:
+                fail_first("C2", (i, p))
+        if ps.spent(i) > ps.budget / inst.n:
+            fail_first("C3", (i,))
+    for p in sorted(w):
+        paid = sum((ps.payments.get(i, {}).get(p, Fraction(0)) for i in inst.voters),
+                   Fraction(0))
+        if paid != inst.costs[p]:
+            fail_first("C4", (p,))
+    unchosen = [p for p in inst.projects if p not in w]
+    for p in unchosen:
+        pooled = sum((ps.leftover(i, inst.n) for i in inst.approvers(p)), Fraction(0))
+        if pooled > inst.costs[p]:
+            fail_first("C5", (p,))
+    for pj in unchosen:
+        group = inst.approvers(pj)
+        for pk in sorted(w):
+            towards = sum(
+                (ps.payments.get(i, {}).get(pk, Fraction(0)) for i in group),
+                Fraction(0),
+            )
+            if towards > inst.costs[pj]:
+                fail_first("C6", (pj, pk))
+    for name in CONDITIONS:
+        verdicts.setdefault(name, (True, None))
+    return PriceReport(verdicts=verdicts, b_strict=ps.budget > inst.budget)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pbprop
+from conftest import MALFORMED_JSON
 from pbprop import rules
 from pbprop.cli import main
 from pbprop.model import Instance, emit_json, parse_json
@@ -279,6 +280,15 @@ def test_missing_file_is_io_error(capsys):
     assert code == 1 and "pb:" in err
 
 
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_is_parse_error(capsys, tmp_path, case):
+    text, fragment = MALFORMED_JSON[case]
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "run", "--rule", "mes", str(path))
+    assert code == 1 and out == "" and fragment in err
+
 def test_unknown_sat_selector(capsys, inst_file):
     code, _, _ = run_cli(
         capsys, "run", "--rule", "mes", "--sat", "bogus", inst_file
@@ -304,3 +314,30 @@ def test_non_additive_sat_for_mes_is_usage_error(capsys, inst_file):
         capsys, "run", "--rule", "mes", "--sat", "cc", inst_file
     )
     assert code == 64
+
+
+# ---------------------------------------------------------------------------
+# scripts
+
+
+def test_random_audit_sweep_prints_pass_rate_table():
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(pbprop.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "random_audit_sweep.py"),
+         "--count", "3", "--max-n", "4", "--max-m", "5"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["rule", "sat", "ejr", "ejr1", "ejr1plus", "ejrx",
+                                "pjr", "pjr1", "pjrx", "localbpjr"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [
+        [rule, sat] for rule in ("mes", "phragmen", "maximin", "gcr")
+        for sat in ("cost", "card", "sqrt", "log")
+    ]
+    assert all(len(row) == 10 and all(cell.endswith("%") for cell in row[2:])
+               for row in rows)

@@ -1,0 +1,96 @@
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from conftest import make_instance, random_outcome
+from oracles import dense_solve_lp
+from pbprop import pricing
+from pbprop.lp import solve_lp
+from pbprop.rules import run_mes
+from pbprop.satisfaction import cardinality_sat
+
+
+def random_lp(seed):
+    """A small LP with mixed signs; every fourth one is degenerate (zero
+    right-hand sides) and every fourth one repeats an equality row."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+
+    def value():
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+
+    def rows(count):
+        return [[value() for _ in range(n)] for _ in range(count)]
+
+    objective = [value() for _ in range(n)]
+    a_ub, a_eq = rows(rng.randint(0, 4)), rows(rng.randint(0, 3))
+    b_ub = [value() for _ in a_ub]
+    b_eq = [value() for _ in a_eq]
+    if seed % 4 == 1:
+        b_ub = [abs(b) * rng.randint(0, 1) for b in b_ub]
+        b_eq = [Fraction(0) for _ in b_eq]
+    if seed % 4 == 2 and a_eq:
+        k = Fraction(rng.choice([1, 2, -3]))
+        a_eq.append([k * v for v in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    return objective, a_ub, b_ub, a_eq, b_eq
+
+
+HAND_MADE = [
+    # the second equality repeats the first: its artificial stays basic at 0
+    ([1, 1], [], [], [[1, 1], [2, 2]], [1, 2]),
+    ([1, 0, 0], [[1, 1, 1]], [3], [[1, -1, 0], [2, -2, 0], [0, 0, 1]], [0, 0, 1]),
+    ([1], [[1], [-1]], [1, -2], [], []),  # infeasible
+    ([1, 1], [[1, -1]], [1], [], []),  # unbounded
+    ([0, 1], [[1, 1], [1, 1], [-1, 0]], [0, 0, 0], [], []),  # degenerate
+    ([-1, -1], [], [], [], []),  # no rows
+]
+
+
+def test_solve_lp_matches_dense_reference_on_random_lps():
+    statuses = Counter()
+    for seed in range(1500):
+        lp = random_lp(seed)
+        got = solve_lp(*lp)
+        assert got == dense_solve_lp(*lp), seed
+        statuses[got[0]] += 1
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 50
+
+
+@pytest.mark.parametrize("lp", HAND_MADE)
+def test_solve_lp_matches_dense_reference_on_hand_made_lps(lp):
+    assert solve_lp(*lp) == dense_solve_lp(*lp)
+
+
+def test_redundant_equality_keeps_value():
+    status, x, value = solve_lp([1, 1], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])
+    assert status == "optimal" and value == 1 and sum(x) == 1
+
+
+def test_solve_lp_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        solve_lp([1, 2], [[1]], [1])
+
+
+def test_price_lps_match_dense_reference(monkeypatch):
+    """The LPs find_price_system builds, with C6 off and on, solve to the
+    same (status, x, value) as the dense reference."""
+    built = []
+
+    def recording(*args):
+        result = solve_lp(*args)
+        built.append((args, result))
+        return result
+
+    monkeypatch.setattr(pricing, "solve_lp", recording)
+    for seed in range(40):
+        inst = make_instance(seed, max_n=5, max_m=6)
+        outcomes = {run_mes(inst, cardinality_sat(inst))[0], random_outcome(inst, seed)}
+        for w in sorted(outcomes, key=sorted):
+            for c6 in (False, True):
+                pricing.find_price_system(inst, w, require_c6=c6)
+    assert len(built) >= 120
+    for args, result in built:
+        assert result == dense_solve_lp(*args)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MALFORMED_JSON
 from pbprop.model import (
     GenParams,
     Instance,
@@ -131,6 +132,13 @@ def test_parse_json_errors():
             ' "approvals": [["b"]]}'
         )
 
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_parse_json_rejects_malformed(case):
+    text, fragment = MALFORMED_JSON[case]
+    with pytest.raises(ParseError, match=fragment):
+        parse_json(text)
 
 def test_money_str_exact():
     assert money_str(Fraction(5, 2)) == "5/2"

@@ -1,13 +1,17 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_instance
+from oracles import reference_verify_price_system
 from pbprop.errors import GuardExceededError
 from pbprop.model import Instance, InstanceError
 from pbprop.pricing import (
     ExtractionUnavailableError,
     PriceSystem,
+    _invert,
     extract_from_maximin_trace,
     extract_from_mes_trace,
     extract_from_phragmen_trace,
@@ -76,6 +80,49 @@ def test_verify_rejects_malformed():
             inst, {"a"}, PriceSystem(budget=Fraction(1),
                                      payments={1: {"a": Fraction(-1)}})
         )
+
+
+def _perturbed(inst, w, ps, rng):
+    """The system itself, then copies with one payment moved to a project
+    the payer does not approve or that is not chosen, B lowered, and one
+    payment short by 1/7."""
+    yield ps
+    paying = sorted((i, p) for i, per in ps.payments.items() for p in per)
+    if not paying:
+        return
+    i, p = rng.choice(paying)
+    for q in sorted(inst.projects):
+        if q not in inst.approval(i) or q not in w:
+            moved = {v: dict(per) for v, per in ps.payments.items()}
+            amount = moved[i].pop(p)
+            moved[i][q] = moved[i].get(q, Fraction(0)) + amount
+            yield PriceSystem(budget=ps.budget, payments=moved)
+    yield PriceSystem(budget=ps.budget * Fraction(3, 4), payments=ps.payments)
+    short = {v: dict(per) for v, per in ps.payments.items()}
+    short[i][p] = max(short[i][p] - Fraction(1, 7), Fraction(0))
+    yield PriceSystem(budget=ps.budget, payments=short)
+
+
+def test_verify_matches_reference_on_extracted_and_perturbed_systems():
+    rng = random.Random(4)
+    compared = Counter()
+    for seed in range(120):
+        inst = make_instance(seed)
+        runs = [run_mes(inst, cost_sat(inst)), run_mes(inst, cardinality_sat(inst))]
+        systems = [(w, extract_from_mes_trace(inst, tr)) for w, tr in runs]
+        for rule, extract in ((run_seq_phragmen, extract_from_phragmen_trace),
+                              (run_maximin_support, extract_from_maximin_trace)):
+            w, tr = rule(inst)
+            if tr.blocking is not None:
+                systems.append((w, extract(inst, tr)))
+        for w, ps in systems:
+            for variant in _perturbed(inst, w, ps, rng):
+                report = verify_price_system(inst, w, variant)
+                assert report == reference_verify_price_system(inst, w, variant)
+                for name, (passed, _) in report.verdicts.items():
+                    compared[name, passed] += 1
+    for name in ("C1", "C2", "C3", "C4", "C5", "C6"):
+        assert compared[name, True] and compared[name, False], name
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +195,18 @@ def test_maximin_extraction_example(shared_big_project):
     assert verify_price_system(inst, w, ps).ok(
         require_c6=True, require_b_strict=True
     )
+
+
+def test_maximin_extraction_repairs_payments_at_blocked_budget():
+    inst = make_instance(192)
+    assert (inst.n, inst.m) == (6, 3)
+    w, tr = run_maximin_support(inst)
+    budget = inst.n * tr.blocking_loads.max_load
+    own = PriceSystem(budget=budget, payments=_invert(tr.payments))
+    assert not verify_price_system(inst, w, own).ok(require_c6=True)
+    ps = extract_from_maximin_trace(inst, tr)
+    assert ps.budget == budget > inst.budget
+    assert verify_price_system(inst, w, ps).ok(require_c6=True, require_b_strict=True)
 
 
 def test_extraction_requires_blocking():
