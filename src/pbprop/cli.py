@@ -185,19 +185,24 @@ def _make_parser() -> _Parser:
     return parser
 
 
+def _run_rule(
+    rule: str, inst: Instance, mu: SatisfactionFunction, tie: str = "lex",
+    skip_blocked: bool = False,
+) -> tuple[frozenset[str], rules.RuleTrace | None]:
+    """Run the named rule; GCR keeps no trace."""
+    if rule == "mes":
+        return rules.run_mes(inst, mu, tie=tie)
+    if rule == "phragmen":
+        return rules.run_seq_phragmen(inst, tie=tie, skip_blocked=skip_blocked)
+    if rule == "maximin":
+        return rules.run_maximin_support(inst, tie=tie)
+    return rules.run_gcr(inst, mu, tie=tie), None
+
+
 def _cmd_run(args) -> int:
     inst = _load_instance(args.instance)
     mu = _build_sat(args.sat, inst)
-    if args.rule == "mes":
-        outcome, trace = rules.run_mes(inst, mu, tie=args.tie)
-    elif args.rule == "phragmen":
-        outcome, trace = rules.run_seq_phragmen(
-            inst, tie=args.tie, skip_blocked=args.skip_blocked
-        )
-    elif args.rule == "maximin":
-        outcome, trace = rules.run_maximin_support(inst, tie=args.tie)
-    else:
-        outcome, trace = rules.run_gcr(inst, mu, tie=args.tie), None
+    outcome, trace = _run_rule(args.rule, inst, mu, args.tie, args.skip_blocked)
     payload = {"rule": args.rule, "sat": mu.kind, "outcome": sorted(outcome)}
     if trace is not None:
         payload["trace"] = _trace_json(trace)
@@ -262,20 +267,13 @@ def _cmd_price(args) -> int:
         return EXIT_OK if ok else EXIT_VIOLATION
     if args.price_command == "extract":
         mu = _build_sat(args.sat, inst)
-        if args.rule == "mes":
-            outcome, trace = rules.run_mes(inst, mu)
-            ps = pricing.extract_from_mes_trace(inst, trace)
-        elif args.rule == "phragmen":
-            outcome, trace = rules.run_seq_phragmen(inst)
-            ps = pricing.extract_from_phragmen_trace(inst, trace)
-        else:
-            outcome, trace = rules.run_maximin_support(inst)
-            ps = pricing.extract_from_maximin_trace(inst, trace)
+        outcome, trace = _run_rule(args.rule, inst, mu)
+        ps = getattr(pricing, f"extract_from_{args.rule}_trace")(inst, trace)
         report = pricing.verify_price_system(inst, outcome, ps)
         ok = report.ok(require_c6=args.c6, require_b_strict=args.strict_b)
         _emit({
             "outcome": sorted(outcome),
-            "system": json.loads(ps.to_json()),
+            "system": ps.to_dict(),
             "verdict": "pass" if ok else "fail",
             **_report_json(report),
         })
@@ -292,7 +290,7 @@ def _cmd_price(args) -> int:
         print("no price system exists under the requested conditions",
               file=sys.stderr)
         return EXIT_VIOLATION
-    _emit({"found": True, "system": json.loads(ps.to_json())})
+    _emit({"found": True, "system": ps.to_dict()})
     print(f"found price system with B={money_str(ps.budget)}", file=sys.stderr)
     return EXIT_OK
 

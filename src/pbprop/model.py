@@ -6,6 +6,7 @@ checkers is exact.
 """
 from __future__ import annotations
 
+import csv
 import json
 import random
 from dataclasses import dataclass, field
@@ -149,20 +150,37 @@ class Instance:
 # Pabulib-style ingestion
 
 
+def _columns(section: str, rows: list[list[str]], names: tuple[str, ...]) -> list[int]:
+    """Positions of the named columns in the section's header row."""
+    header = [c.lower() for c in rows[0]] if rows else []
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise ParseError(f"{section} header lacks column(s) {missing}")
+    return [header.index(name) for name in names]
+
+
 def parse_pabulib(text: str) -> Instance:
-    """Parse a Pabulib-style ``.pb`` file (META/PROJECTS/VOTES sections)."""
+    """Parse a Pabulib-style ``.pb`` file (META/PROJECTS/VOTES sections).
+
+    Rows are ``;``-separated with ``"`` quoting. PROJECTS and VOTES columns
+    are found by header name (``project_id``, ``cost``; ``voter_id``,
+    ``vote``); other columns are ignored."""
+    try:
+        rows = list(csv.reader(text.splitlines(), delimiter=";", quotechar='"'))
+    except csv.Error as exc:  # e.g. a stray quote that swallows the file
+        raise ParseError(f"unreadable .pb rows: {exc}") from exc
     sections: dict[str, list[list[str]]] = {}
     current: list[list[str]] | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+    for raw in rows:
+        row = [f.strip() for f in raw]
+        if not row or row == [""]:
             continue
-        if line.upper() in ("META", "PROJECTS", "VOTES"):
-            current = sections.setdefault(line.upper(), [])
+        if len(row) == 1 and row[0].upper() in ("META", "PROJECTS", "VOTES"):
+            current = sections.setdefault(row[0].upper(), [])
             continue
         if current is None:
-            raise ParseError(f"content before first section header: {line!r}")
-        current.append([f.strip() for f in line.split(";")])
+            raise ParseError(f"content before first section header: {';'.join(row)!r}")
+        current.append(row)
 
     for name in ("META", "PROJECTS", "VOTES"):
         if name not in sections:
@@ -185,29 +203,27 @@ def parse_pabulib(text: str) -> Instance:
     budget = parse_money(meta["budget"])
 
     proj_rows = sections["PROJECTS"]
-    if not proj_rows or [c.lower() for c in proj_rows[0]][:2] != ["project_id", "cost"]:
-        raise ParseError("PROJECTS must start with a 'project_id;cost' header")
+    col_id, col_cost = _columns("PROJECTS", proj_rows, ("project_id", "cost"))
     costs: dict[str, Fraction] = {}
     for row in proj_rows[1:]:
-        if len(row) < 2:
+        if len(row) <= max(col_id, col_cost):
             raise ParseError(f"malformed PROJECTS row {row!r}")
-        pid = row[0]
+        pid = row[col_id]
         if pid in costs:
             raise ParseError(f"duplicate project id {pid!r}")
-        costs[pid] = parse_money(row[1])
+        costs[pid] = parse_money(row[col_cost])
     if len(costs) != num_projects:
         raise ParseError(
             f"META says {num_projects} projects, PROJECTS lists {len(costs)}"
         )
 
     vote_rows = sections["VOTES"]
-    if not vote_rows or [c.lower() for c in vote_rows[0]][:2] != ["voter_id", "vote"]:
-        raise ParseError("VOTES must start with a 'voter_id;vote' header")
+    _, col_vote = _columns("VOTES", vote_rows, ("voter_id", "vote"))
     approvals: list[frozenset[str]] = []
     for row in vote_rows[1:]:
-        vote = row[1] if len(row) > 1 else ""
+        vote = row[col_vote] if len(row) > col_vote else ""
         ballot = frozenset(p.strip() for p in vote.split(",") if p.strip())
-        dangling = ballot - set(costs)
+        dangling = ballot.difference(costs)
         if dangling:
             raise ParseError(f"vote references unknown projects {sorted(dangling)}")
         approvals.append(ballot)

@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .errors import GuardExceededError
 from .lp import solve_lp
-from .model import Instance, InstanceError, money_str, parse_money
+from .model import Instance, InstanceError, ParseError, money_str, parse_money
 from .rules import RuleTrace
 
 CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -47,26 +47,33 @@ class PriceSystem:
     def leftover(self, voter: int, n: int) -> Fraction:
         return self.budget / n - self.spent(voter)
 
-    def to_json(self) -> str:
-        data = {
+    def to_dict(self) -> dict:
+        """The JSON object of ``to_json``: exact "p/q" amounts, sorted keys."""
+        return {
             "B": money_str(self.budget),
             "payments": {
                 str(i): {p: money_str(v) for p, v in sorted(per.items())}
                 for i, per in sorted(self.payments.items())
             },
         }
-        return json.dumps(data, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PriceSystem":
-        data = json.loads(text)
-        return cls(
-            budget=parse_money(data["B"]),
-            payments={
-                int(i): {p: parse_money(v) for p, v in per.items()}
-                for i, per in data["payments"].items()
-            },
-        )
+        """Parse ``to_json`` output; anything else raises ``ParseError``."""
+        try:
+            data = json.loads(text)
+            return cls(
+                budget=parse_money(data["B"]),
+                payments={
+                    int(i): {p: parse_money(v) for p, v in per.items()}
+                    for i, per in data["payments"].items()
+                },
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ParseError(f"malformed price system: {exc!r}") from exc
 
 
 @dataclass

@@ -11,7 +11,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .axioms import demand_sets
 from .errors import CapabilityError, GuardExceededError, InvariantError
@@ -178,13 +178,44 @@ def _pop_ties(
     return best, tied
 
 
-def _push_back(
-    heap: list[tuple[Fraction, str]], value: Fraction, tied: list[str], chosen: str
-) -> None:
-    """Return the tied projects that were not chosen to the heap."""
-    for q in tied:
-        if q != chosen:
-            heapq.heappush(heap, (value, q))
+def _select(
+    inst: Instance,
+    pool: Iterable[str],
+    evaluate: Callable[[str], Fraction | None],
+    stale: set[str],
+    tie: str,
+    trace: RuleTrace,
+    skip_blocked: bool = False,
+) -> Iterator[tuple[str, Fraction]]:
+    """The greedy loop of MES, Phragmen and maximin support. Values only rise
+    as the outcome grows, so they wait in a heap of lower bounds. Projects
+    tied at the least value that no longer fit the budget stop the run (the
+    pick among them goes to ``trace.blocking``) or, with ``skip_blocked``, go
+    to ``trace.skipped`` sorted by id. The pick among the rest is recorded
+    and yielded with its value; the caller applies it and adds every project
+    whose value changed to ``stale``."""
+    heap = [(value, p) for p in pool if (value := evaluate(p)) is not None]
+    heapq.heapify(heap)
+    left = inst.budget
+    while True:
+        best, tied = _pop_ties(heap, stale, evaluate)
+        if not tied:
+            return
+        over = sorted(p for p in tied if inst.costs[p] > left)
+        if over and not skip_blocked:
+            trace.blocking = (_pick(over, tie), best)
+            return
+        trace.skipped.extend(over)
+        tied = [p for p in tied if p not in over]
+        if not tied:
+            continue
+        p = _pick(tied, tie)
+        for q in tied:
+            if q != p:
+                heapq.heappush(heap, (best, q))
+        left -= inst.costs[p]
+        trace.selections.append((len(trace.selections) + 1, p, best))
+        yield p, best
 
 
 def run_mes(
@@ -210,15 +241,8 @@ def run_mes(
             del counts[p]  # budgets only fall: p stays unaffordable
         return value
 
-    heap = [(value, p) for p in candidates if (value := rho(p)) is not None]
-    heapq.heapify(heap)
     trace = RuleTrace(rule="mes", mu_kind=mu.kind)
-    while True:
-        best, tied = _pop_ties(heap, classes.stale, rho)
-        if not tied:
-            break
-        p = _pick(tied, tie)
-        _push_back(heap, best, tied, p)
+    for p, best in _select(inst, candidates, rho, classes.stale, tie, trace):
         price = best * units[p]
         per = counts.pop(p)
         pay = {c: min(budget[c], price) for c in per}
@@ -227,7 +251,6 @@ def run_mes(
         trace.payments[p] = {
             i: pay[classes.of[i]] for i in inst.approvers(p) if pay[classes.of[i]] > 0
         }
-        trace.selections.append((len(trace.selections) + 1, p, best))
         classes.move(p, {c: budget[c] - pay[c] for c in per})
     outcome = frozenset(p for _, p, _ in trace.selections)
     trace.voter_budgets = {i: budget[classes.of[i]] for i in inst.voters}
@@ -270,27 +293,8 @@ def run_seq_phragmen(
         paid = sum((load[c] * k for c, k in counts[p].items()), Fraction(0))
         return (inst.costs[p] + paid) / size[p]
 
-    heap = [(t(p), p) for p in pool]
-    heapq.heapify(heap)
     trace = RuleTrace(rule="phragmen")
-    spent = Fraction(0)
-    while True:
-        t_min, argmin = _pop_ties(heap, classes.stale, t)
-        if not argmin:
-            break
-        over = sorted(p for p in argmin if spent + inst.costs[p] > inst.budget)
-        if over:
-            if not skip_blocked:
-                trace.blocking = (_pick(over, tie), t_min)
-                break
-            for p in over:
-                del counts[p]
-            trace.skipped.extend(over)
-            argmin = [p for p in argmin if p not in over]
-            if not argmin:
-                continue
-        p = _pick(argmin, tie)
-        _push_back(heap, t_min, argmin, p)
+    for p, t_min in _select(inst, pool, t, classes.stale, tie, trace, skip_blocked):
         per = counts.pop(p)
         charge = {c: t_min - load[c] for c in per}
         if sum((charge[c] * k for c, k in per.items()), Fraction(0)) != inst.costs[p]:
@@ -298,9 +302,7 @@ def run_seq_phragmen(
         trace.payments[p] = {
             i: charge[classes.of[i]] for i in inst.approvers(p) if charge[classes.of[i]] > 0
         }
-        trace.selections.append((len(trace.selections) + 1, p, t_min))
         classes.move(p, dict.fromkeys(per, t_min))
-        spent += inst.costs[p]
     outcome = frozenset(p for _, p, _ in trace.selections)
     trace.voter_loads = {i: load[classes.of[i]] for i in inst.voters}
     trace.exhaustive = inst.is_exhaustive(outcome)
@@ -378,39 +380,34 @@ def run_maximin_support(
 ) -> tuple[frozenset[str], RuleTrace]:
     """Maximin support method: each round adds the candidate whose optimally
     rebalanced loads give the smallest maximum voter load; stops when such a
-    candidate no longer fits the budget (recorded for price extraction)."""
+    candidate no longer fits the budget (recorded for price extraction).
+
+    A candidate's balanced max load is max_S c(S)/|N(S)| over the subsets S
+    of the chosen projects plus itself, so it only rises as the outcome
+    grows: loads wait in a heap and are rebalanced only when they reach the
+    top."""
     # As in the sequential rule, over-budget projects stay in the pool so a
     # winning argmin among them produces a blocking record rather than being
     # silently ignored.
     pool = [p for p in inst.projects if inst.approvers(p)]
     trace = RuleTrace(rule="maximin")
     chosen: list[str] = []
-    spent = Fraction(0)
-    rnd = 0
-    final_assignment: LoadAssignment | None = None
-    while True:
-        remaining = [p for p in pool if p not in chosen]
-        if not remaining:
-            break
-        scores = {p: balance_loads(inst, chosen + [p]) for p in remaining}
-        s_min = min(a.max_load for a in scores.values())
-        argmin = [p for p in remaining if scores[p].max_load == s_min]
-        over = [p for p in argmin if spent + inst.costs[p] > inst.budget]
-        if over:
-            blocked = _pick(over, tie)
-            trace.blocking = (blocked, s_min)
-            trace.blocking_loads = scores[blocked]
-            break
-        rnd += 1
-        p = _pick(argmin, tie)
+    balanced: dict[str, LoadAssignment] = {}  # each candidate's latest loads
+
+    def max_load(p: str) -> Fraction:
+        balanced[p] = balance_loads(inst, chosen + [p])
+        return balanced[p].max_load
+
+    stale: set[str] = set()
+    for p, _ in _select(inst, pool, max_load, stale, tie, trace):
         chosen.append(p)
-        spent += inst.costs[p]
-        final_assignment = scores[p]
-        trace.selections.append((rnd, p, s_min))
+        stale.update(pool)  # each max runs over all of W; extra marks are harmless
     outcome = frozenset(chosen)
+    if trace.blocking is not None:
+        trace.blocking_loads = balanced[trace.blocking[0]]
     # Payments come from the balanced loads at termination, restricted to
     # the chosen projects (the blocked candidate itself is not paid for).
-    reference = trace.blocking_loads or final_assignment
+    reference = trace.blocking_loads or (balanced[chosen[-1]] if chosen else None)
     if reference is not None:
         trace.payments = {p: dict(reference.loads[p]) for p in chosen}
         trace.voter_loads = {

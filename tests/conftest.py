@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,16 @@ MALFORMED_JSON = {
                       ' {"id": "b", "cost": "1"}], "approvals": ["ab"]}',
                       "must be a list of project ids"),
 }
+
+
+# Price-system files that PriceSystem.from_json must reject with ParseError
+MALFORMED_PRICE_SYSTEMS = {
+    "empty-object": "{}",
+    "payments-list": '{"B": "3", "payments": []}',
+    "voter-key": '{"B": "3", "payments": {"x": {"p1": "1"}}}',
+}
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="session")

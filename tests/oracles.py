@@ -6,6 +6,7 @@ usable at desk scale (n, m around 5)."""
 import itertools
 from fractions import Fraction
 
+from pbprop import rules
 from pbprop.axioms import is_cohesive
 from pbprop.rules import RuleTrace
 from pbprop.satisfaction import voter_satisfaction
@@ -191,6 +192,49 @@ def eager_phragmen(inst, tie="lex", skip_blocked=False):
         spent += inst.costs[p]
     outcome = frozenset(chosen)
     trace.voter_loads = loads
+    trace.exhaustive = inst.is_exhaustive(outcome)
+    return outcome, trace
+
+
+def eager_maximin(inst, tie="lex"):
+    """Maximin support that rebalances every remaining candidate with a fresh
+    max-flow each round. It calls ``rules.balance_loads`` through the module
+    so that a test can count the calls."""
+    pool = [p for p in inst.projects if inst.approvers(p)]
+    trace = RuleTrace(rule="maximin")
+    chosen = []
+    spent = Fraction(0)
+    rnd = 0
+    final_assignment = None
+    while True:
+        remaining = [p for p in pool if p not in chosen]
+        if not remaining:
+            break
+        scores = {p: rules.balance_loads(inst, chosen + [p]) for p in remaining}
+        s_min = min(a.max_load for a in scores.values())
+        argmin = [p for p in remaining if scores[p].max_load == s_min]
+        over = [p for p in argmin if spent + inst.costs[p] > inst.budget]
+        if over:
+            blocked = _pick(over, tie)
+            trace.blocking = (blocked, s_min)
+            trace.blocking_loads = scores[blocked]
+            break
+        rnd += 1
+        p = _pick(argmin, tie)
+        chosen.append(p)
+        spent += inst.costs[p]
+        final_assignment = scores[p]
+        trace.selections.append((rnd, p, s_min))
+    outcome = frozenset(chosen)
+    reference = trace.blocking_loads or final_assignment
+    if reference is not None:
+        trace.payments = {p: dict(reference.loads[p]) for p in chosen}
+        trace.voter_loads = {
+            i: sum((reference.loads[p].get(i, Fraction(0)) for p in chosen), Fraction(0))
+            for i in inst.voters
+        }
+    else:
+        trace.voter_loads = {i: Fraction(0) for i in inst.voters}
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import pbprop
-from conftest import MALFORMED_JSON
+from conftest import FIXTURES, MALFORMED_JSON, MALFORMED_PRICE_SYSTEMS
 from pbprop import rules
 from pbprop.cli import main
 from pbprop.model import Instance, emit_json, parse_json
@@ -66,6 +66,13 @@ def test_run_reads_pabulib_without_extension(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--rule", "phragmen", str(path))
     assert code == 0
     assert json.loads(out)["outcome"] == ["a", "b"]
+
+
+def test_run_reads_pabulib_with_extra_columns(capsys):
+    path = FIXTURES / "pabulib_extra_columns.pb"
+    code, out, _ = run_cli(capsys, "run", "--rule", "mes", str(path))
+    assert code == 0
+    assert json.loads(out)["outcome"] == ["1", "3"]
 
 
 def test_run_gcr_has_no_trace(capsys, inst_file):
@@ -199,6 +206,15 @@ def test_price_verify_failure_exit_code(capsys, inst_file, tmp_path):
     )
     assert code == 2  # nobody funds the chosen project
     assert json.loads(out)["conditions"]["C4"]["pass"] is False
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRICE_SYSTEMS))
+def test_price_verify_malformed_system_is_parse_error(capsys, inst_file, tmp_path, case):
+    system = tmp_path / "ps.json"
+    system.write_text(MALFORMED_PRICE_SYSTEMS[case])
+    code, out, err = run_cli(capsys, "price", "verify", inst_file, "p2", str(system))
+    assert code == 1 and out == ""
+    assert err.startswith("pb: malformed price system")
 
 
 def test_price_find(capsys, inst_file):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_JSON
+from conftest import FIXTURES, MALFORMED_JSON
 from pbprop.model import (
     GenParams,
     Instance,
@@ -108,6 +108,44 @@ def test_parse_pabulib_roundtrip_values():
 def test_parse_pabulib_errors(mangle, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_pabulib(mangle(PB_TEXT))
+
+
+@pytest.mark.parametrize(
+    "name, costs, approvals, budget",
+    [
+        ("pabulib_extra_columns.pb",
+         {"1": 60000, "2": 30000, "3": 25000},
+         [{"1", "2"}, {"1"}, {"1", "3"}, {"2", "3"}], 100000),
+        ("pabulib_reordered.pb",
+         {"p1": Fraction(5, 2), "p2": 1}, [{"p1", "p2"}, {"p2"}, {"p1"}],
+         Fraction(7, 2)),
+    ],
+)
+def test_parse_pabulib_finds_columns_by_name(name, costs, approvals, budget):
+    # extra columns, named columns out of place, quoted names holding ';'
+    inst = parse_pabulib((FIXTURES / name).read_text())
+    assert inst == Instance.create(costs, approvals, budget)
+
+
+@pytest.mark.parametrize(
+    "header, fragment",
+    [
+        ("project_id;cost", "project_id;price"),
+        ("voter_id;vote", "voter;vote"),
+        ("voter_id;vote", "voter_id;ballot"),
+    ],
+)
+def test_parse_pabulib_requires_named_columns(header, fragment):
+    with pytest.raises(ParseError, match="header lacks column"):
+        parse_pabulib(PB_TEXT.replace(header, fragment))
+
+
+def test_parse_pabulib_stray_quote_is_parse_error():
+    votes = "".join(f"{i};p2\n" for i in range(3, 20000))
+    text = PB_TEXT.replace("num_votes;2", "num_votes;19999").replace(
+        "1;p1,p2", '1;"p1,p2') + votes
+    with pytest.raises(ParseError):
+        parse_pabulib(text)
 
 
 def test_json_roundtrip_lossless():

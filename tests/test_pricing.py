@@ -1,13 +1,14 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_instance
+from conftest import MALFORMED_PRICE_SYSTEMS, make_instance
 from oracles import reference_verify_price_system
 from pbprop.errors import GuardExceededError
-from pbprop.model import Instance, InstanceError
+from pbprop.model import Instance, InstanceError, ParseError
 from pbprop.pricing import (
     ExtractionUnavailableError,
     PriceSystem,
@@ -20,6 +21,23 @@ from pbprop.pricing import (
 )
 from pbprop.rules import run_maximin_support, run_mes, run_seq_phragmen
 from pbprop.satisfaction import cardinality_sat, cost_sat
+
+
+# ---------------------------------------------------------------------------
+# price-system files
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRICE_SYSTEMS))
+def test_from_json_rejects_malformed(case):
+    with pytest.raises(ParseError, match="malformed price system"):
+        PriceSystem.from_json(MALFORMED_PRICE_SYSTEMS[case])
+
+
+def test_to_dict_is_the_json_object(priceable_example):
+    inst = priceable_example
+    ps = extract_from_mes_trace(inst, run_mes(inst, cost_sat(inst))[1])
+    assert json.loads(ps.to_json()) == ps.to_dict()
+    assert PriceSystem.from_json(ps.to_json()) == ps
 
 
 # ---------------------------------------------------------------------------

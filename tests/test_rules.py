@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import pbprop
 from conftest import make_instance
-from oracles import eager_mes, eager_min_rho, eager_phragmen, max_load_oracle
+from oracles import (
+    eager_maximin,
+    eager_mes,
+    eager_min_rho,
+    eager_phragmen,
+    max_load_oracle,
+)
+from pbprop import rules
 from pbprop.errors import CapabilityError, GuardExceededError
 from pbprop.model import Instance, InstanceError
 from pbprop.repro import best_outcome_example, shared_big_project_example
@@ -346,6 +353,37 @@ def test_phragmen_matches_eager_reference(cross_check_pool, tie, skip_blocked):
             eager_phragmen(inst, tie=tie, skip_blocked=skip_blocked),
             fields,
         )
+
+
+@pytest.mark.parametrize("tie", ["lex", "reverse"])
+def test_maximin_matches_eager_reference(cross_check_pool, tie):
+    fields = ("selections", "payments", "voter_loads", "blocking",
+              "blocking_loads", "exhaustive")
+    for inst in cross_check_pool:
+        _same_run(run_maximin_support(inst, tie=tie), eager_maximin(inst, tie=tie),
+                  fields)
+
+
+def test_maximin_rebalances_no_more_than_eager(cross_check_pool, monkeypatch):
+    calls = []
+    balance = rules.balance_loads
+
+    def counted(inst, w):
+        calls.append(1)
+        return balance(inst, w)
+
+    monkeypatch.setattr(rules, "balance_loads", counted)
+    lazy_total = eager_total = 0
+    for inst in cross_check_pool:
+        calls.clear()
+        run_maximin_support(inst)
+        lazy = len(calls)
+        calls.clear()
+        eager_maximin(inst)
+        assert lazy <= len(calls)
+        lazy_total += lazy
+        eager_total += len(calls)
+    assert lazy_total < eager_total
 
 
 # Each consistency check of the rules and the LP, broken on purpose; the
