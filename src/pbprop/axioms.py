@@ -61,7 +61,8 @@ def is_cohesive(inst: Instance, t: Iterable[str], group: Iterable[int]) -> bool:
 def _guard(inst: Instance, max_m: int, max_n: int) -> None:
     if inst.m > max_m or inst.n > max_n:
         raise GuardExceededError(
-            f"instance size ({inst.n} voters, {inst.m} projects) exceeds guard"
+            f"instance size ({inst.n} voters in {len(inst.ballot_types())} distinct "
+            f"ballots, {inst.m} projects) exceeds guard ({max_n} voters, {max_m} projects)"
         )
 
 
@@ -93,7 +94,7 @@ class Demand:
     @cached_property
     def signatures(self) -> tuple[Signature, ...]:
         """`_group_signatures` of the approvers, computed on first use."""
-        return tuple(_group_signatures(self._inst, list(self.approvers), self.min_size))
+        return tuple(_group_signatures(self._inst, self.approvers, self.min_size))
 
 
 def demand_sets(inst: Instance) -> tuple[Demand, ...]:
@@ -285,14 +286,14 @@ def check_ejrx(
 
 
 def _group_signatures(
-    inst: Instance, approvers: list[int], min_size: int
+    inst: Instance, approvers: Iterable[int], min_size: int
 ) -> Iterator[Signature]:
     """Yield (group, intersection, union) for each achievable ballot
     signature among subgroups of the approvers with at least min_size
-    members; deduplicated, deterministic order."""
-    by_ballot: dict[frozenset[str], list[int]] = {}
-    for i in approvers:
-        by_ballot.setdefault(inst.approval(i), []).append(i)
+    members; deduplicated, deterministic order. The approvers are whole
+    ballot types, such as N_T: every holder of each ballot containing T."""
+    members = set(approvers)
+    by_ballot = {b: v for b, v in inst.ballot_types().items() if v[0] in members}
     types = sorted(by_ballot, key=sorted)
     seen = set()
     for r in range(1, len(types) + 1):

@@ -89,8 +89,7 @@ def _build_sat(selector: str, inst: Instance) -> SatisfactionFunction:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def _trace_json(trace: rules.RuleTrace) -> dict:

@@ -28,6 +28,8 @@ def parse_money(value: str | int | Fraction) -> Fraction:
     """Parse an exact rational from "p/q", decimal, or integer notation."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):  # a JSON true/false, not an amount
+        raise ParseError(f"not a rational number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     try:
@@ -37,7 +39,7 @@ def parse_money(value: str | int | Fraction) -> Fraction:
 
 
 def money_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,8 @@ class Instance:
 
     Voters are numbered 1..n; projects carry stable string ids. Instances
     are immutable after construction and safe to share between threads.
+    Voters with the same ballot form a ballot type (see ``ballot_types``);
+    rules, audits and price verification work per type where they can.
     """
 
     n: int
@@ -53,6 +57,9 @@ class Instance:
     costs: Mapping[str, Fraction]
     approvals: tuple[frozenset[str], ...]
     budget: Fraction
+    _types: Mapping[frozenset[str], list[int]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
     _approvers: Mapping[str, frozenset[int]] = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -76,16 +83,22 @@ class Instance:
             raise InstanceError("budget must be a positive rational")
         if len(self.approvals) != self.n:
             raise InstanceError("need one approval set per voter")
-        known = set(self.projects)
+        types: dict[frozenset[str], list[int]] = {}
         for i, ballot in enumerate(self.approvals, start=1):
-            unknown = ballot - known
+            types.setdefault(ballot, []).append(i)
+        approvers: dict[str, list[int]] = {p: [] for p in self.projects}
+        for ballot, holders in types.items():  # by lowest holder
+            unknown = sorted(ballot.difference(approvers))
             if unknown:
-                raise InstanceError(f"voter {i} approves unknown projects {sorted(unknown)}")
-        approvers = {
-            p: frozenset(i for i in range(1, self.n + 1) if p in self.approvals[i - 1])
-            for p in self.projects
-        }
-        object.__setattr__(self, "_approvers", approvers)
+                raise InstanceError(f"voter {holders[0]} approves unknown projects {unknown}")
+            for p in ballot:
+                approvers[p] += holders
+        # Built in ascending voter order, so a set iterates as one built by
+        # scanning the voters 1..n (balance_loads adds flow edges in it).
+        object.__setattr__(self, "_types", types)
+        object.__setattr__(
+            self, "_approvers", {p: frozenset(sorted(v)) for p, v in approvers.items()}
+        )
 
     @classmethod
     def create(
@@ -141,6 +154,11 @@ class Instance:
     def approvers(self, p: str) -> frozenset[int]:
         self._check_known([p])
         return self._approvers[p]
+
+    def ballot_types(self) -> Mapping[frozenset[str], list[int]]:
+        """Distinct ballots in order of first appearance, each mapped to its
+        holders in ascending order. Shared by every caller: do not mutate."""
+        return self._types
 
     def is_unit_cost(self) -> bool:
         return all(c == 1 for c in self.costs.values())
@@ -220,12 +238,16 @@ def parse_pabulib(text: str) -> Instance:
     vote_rows = sections["VOTES"]
     _, col_vote = _columns("VOTES", vote_rows, ("voter_id", "vote"))
     approvals: list[frozenset[str]] = []
+    ballots: dict[str, frozenset[str]] = {}  # one set per distinct vote string
     for row in vote_rows[1:]:
         vote = row[col_vote] if len(row) > col_vote else ""
-        ballot = frozenset(p.strip() for p in vote.split(",") if p.strip())
-        dangling = ballot.difference(costs)
-        if dangling:
-            raise ParseError(f"vote references unknown projects {sorted(dangling)}")
+        ballot = ballots.get(vote)
+        if ballot is None:
+            ballot = frozenset(p.strip() for p in vote.split(",") if p.strip())
+            dangling = ballot.difference(costs)
+            if dangling:
+                raise ParseError(f"vote references unknown projects {sorted(dangling)}")
+            ballots[vote] = ballot
         approvals.append(ballot)
     if len(approvals) != num_votes:
         raise ParseError(f"META says {num_votes} votes, VOTES lists {len(approvals)}")

@@ -110,34 +110,50 @@ def verify_price_system(
         if name not in verdicts:
             verdicts[name] = (False, witness)
 
+    # Holders of one ballot type with equal payment rows pass or fail every
+    # condition together, so each class of them is checked once, as its
+    # lowest voter, in ascending order of that voter: the first witness of
+    # each condition is then the per-voter one. A holder whose row differs
+    # from the previous holder's starts a new class, so grouping stays
+    # linear; equal rows split into two classes are merely checked twice.
+    # Rows are compared, not hashed: hashing a Fraction is slow.
+    classes: list[list] = []  # [lowest voter, ballot, row, holders in class]
+    for ballot, holders in inst.ballot_types().items():
+        last = None
+        for i in holders:
+            row = ps.payments.get(i, {})
+            if last is not None and row == last[2]:
+                last[3] += 1
+            else:
+                last = [i, ballot, row, 1]
+                classes.append(last)
+    classes.sort(key=lambda c: c[0])
     share = ps.budget / inst.n
-    spent: dict[int, Fraction] = {}
-    payers: dict[str, dict[int, Fraction]] = {}  # project -> voter -> amount
-    for i in inst.voters:
-        for p, amount in ps.payments.get(i, {}).items():
-            if amount > 0 and p not in inst.approval(i):
+    left = []  # each class's leftover B_i* = B/n - spent
+    paid: dict[str, Fraction] = {}
+    for i, ballot, row, k in classes:
+        for p, amount in row.items():
+            if amount > 0 and p not in ballot:
                 fail_first("C1", (i, p))
             if amount > 0 and p not in w:
                 fail_first("C2", (i, p))
-            payers.setdefault(p, {})[i] = amount
-        spent[i] = ps.spent(i)
-        if spent[i] > share:
+            paid[p] = paid.get(p, Fraction(0)) + k * amount
+        left.append(share - sum(row.values(), Fraction(0)))
+        if left[-1] < 0:
             fail_first("C3", (i,))
     chosen = sorted(w)
     for p in chosen:
-        if sum(payers.get(p, {}).values(), Fraction(0)) != inst.costs[p]:
+        if paid.get(p, Fraction(0)) != inst.costs[p]:
             fail_first("C4", (p,))
     unchosen = [p for p in inst.projects if p not in w]
-    for p in unchosen:  # the approvers' pooled leftover, B_i* = B/n - spent
-        group = inst.approvers(p)
-        pooled = len(group) * share - sum((spent[i] for i in group), Fraction(0))
+    for p in unchosen:  # the approvers' pooled leftover
+        pooled = sum((c[3] * b for c, b in zip(classes, left) if p in c[1]), Fraction(0))
         if pooled > inst.costs[p]:
             fail_first("C5", (p,))
     for pj in unchosen:
-        group = inst.approvers(pj)
+        rows = [(row, k) for _, ballot, row, k in classes if pj in ballot]
         for pk in chosen:
-            per = payers.get(pk, {})
-            towards = sum((a for i, a in per.items() if i in group), Fraction(0))
+            towards = sum((k * row[pk] for row, k in rows if pk in row), Fraction(0))
             if towards > inst.costs[pj]:
                 fail_first("C6", (pj, pk))
     for name in CONDITIONS:

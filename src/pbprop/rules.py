@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .axioms import demand_sets
-from .errors import CapabilityError, GuardExceededError, InvariantError
+from .axioms import _guard, demand_sets
+from .errors import CapabilityError, InvariantError
 from .maxflow import FlowNetwork
 from .model import Instance, InstanceError
 from .satisfaction import SatisfactionFunction
@@ -103,28 +103,52 @@ def min_rho(
 
 
 class _VoterClasses:
-    """Voters grouped by an equal running value: the MES budget or the
+    """Ballot types grouped by an equal running value: the MES budget or the
     Phragmen load.
 
-    ``value[c]`` is class c's value and ``of[i]`` voter i's class;
-    ``counts[p]`` maps each class to the number of p's supporters in it, for
-    every live candidate p. A rule then evaluates a project on its few
-    classes instead of its many voters. Candidates whose counts change are
-    added to ``stale``.
+    Holders of one ballot type approve the same projects, so every selection
+    moves them together and they always share a value. ``value[c]`` is class
+    c's value and ``of[t]`` the class of ballot type t, an index into the
+    instance's ``ballot_types``; ``counts[p]`` maps each class to the number
+    of p's supporters in it, for every live candidate p. A rule then
+    evaluates a project on its few classes instead of its many voters.
+    Candidates whose counts change are added to ``stale``.
     """
 
     def __init__(self, inst: Instance, candidates: Iterable[str], start: Fraction):
-        self.inst = inst
         self.value = [start]
         self._ids = {start: 0}
-        self.of = dict.fromkeys(inst.voters, 0)
+        types = inst.ballot_types()
+        self.ballots = list(types)
+        self.holders = list(types.values())
+        self.of = [0] * len(self.ballots)
+        self.holding: dict[str, list[int]] = {p: [] for p in inst.projects}
+        for t, ballot in enumerate(self.ballots):
+            for p in ballot:
+                self.holding[p].append(t)
         self.counts = {p: {0: len(inst.approvers(p))} for p in candidates}
         self.stale: set[str] = set()
 
-    def total(self, voters: Iterable[int]) -> Fraction:
-        """Sum of the voters' values."""
-        per = Counter(self.of[i] for i in voters)
+    def total(self, p: str) -> Fraction:
+        """Sum of the values of p's supporters."""
+        per: Counter[int] = Counter()
+        for t in self.holding[p]:
+            per[self.of[t]] += len(self.holders[t])
         return sum((self.value[c] * k for c, k in per.items()), Fraction(0))
+
+    def spread(self, p: str, amount: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """Each supporter of p mapped to ``amount`` of its class, zeros left out."""
+        out: dict[int, Fraction] = {}
+        for t in self.holding[p]:
+            a = amount[self.of[t]]
+            if a > 0:
+                out.update(dict.fromkeys(self.holders[t], a))
+        return out
+
+    def per_voter(self) -> dict[int, Fraction]:
+        """Every voter's value, by ascending voter id."""
+        pairs = zip(self.holders, self.of)
+        return dict(sorted((i, self.value[c]) for holders, c in pairs for i in holders))
 
     def move(self, p: str, new_value: Mapping[int, Fraction]) -> None:
         """Move each supporter of p in class c to the class holding
@@ -135,21 +159,22 @@ class _VoterClasses:
                 self._ids[v] = len(self.value)
                 self.value.append(v)
             target[c] = self._ids[v]
-        for i in self.inst.approvers(p):
-            old = self.of[i]
+        for t in self.holding[p]:
+            old = self.of[t]
             new = target[old]
             if new == old:
                 continue
-            self.of[i] = new
-            for q in self.inst.approval(i):
+            self.of[t] = new
+            k = len(self.holders[t])
+            for q in self.ballots[t]:
                 per = self.counts.get(q)
                 if per is None:
                     continue
-                if per[old] == 1:
+                if per[old] == k:
                     del per[old]
                 else:
-                    per[old] -= 1
-                per[new] = per.get(new, 0) + 1
+                    per[old] -= k
+                per[new] = per.get(new, 0) + k
                 self.stale.add(q)
 
 
@@ -224,9 +249,9 @@ def run_mes(
     """Method of Equal Shares for an additive satisfaction function.
 
     Voters who approve the same chosen projects hold equal budgets, so
-    budgets are kept per voter class. Budgets only fall, so a project's rho
-    only rises: rho values wait in a heap and are recomputed only when they
-    reach the top."""
+    budgets are kept per class of ballot types. Budgets only fall, so a
+    project's rho only rises: rho values wait in a heap and are recomputed
+    only when they reach the top."""
     if not mu.additive:
         raise CapabilityError("MES requires an additive satisfaction function")
     candidates = [p for p in inst.projects if inst.approvers(p)]
@@ -248,17 +273,13 @@ def run_mes(
         pay = {c: min(budget[c], price) for c in per}
         if sum((pay[c] * k for c, k in per.items()), Fraction(0)) != inst.costs[p]:
             raise InvariantError(f"MES charges for {p!r} do not sum to its cost")
-        trace.payments[p] = {
-            i: pay[classes.of[i]] for i in inst.approvers(p) if pay[classes.of[i]] > 0
-        }
+        trace.payments[p] = classes.spread(p, pay)
         classes.move(p, {c: budget[c] - pay[c] for c in per})
     outcome = frozenset(p for _, p, _ in trace.selections)
-    trace.voter_budgets = {i: budget[classes.of[i]] for i in inst.voters}
+    trace.voter_budgets = classes.per_voter()
     unselected = [p for p in inst.projects if p not in outcome]
     if unselected:
-        trace.delta = min(
-            inst.costs[p] - classes.total(inst.approvers(p)) for p in unselected
-        )
+        trace.delta = min(inst.costs[p] - classes.total(p) for p in unselected)
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
 
@@ -277,9 +298,9 @@ def run_seq_phragmen(
     those dropped together by id.
 
     Voters whose last approved chosen project is the same hold equal loads,
-    so loads are kept per voter class. Loads only rise, so a project's load
-    t only rises: t values wait in a heap and are recomputed only when they
-    reach the top.
+    so loads are kept per class of ballot types. Loads only rise, so a
+    project's load t only rises: t values wait in a heap and are recomputed
+    only when they reach the top.
     """
     # Candidates are all approved projects, even those costing more than the
     # whole budget: such a project can still win the load argmin and must then
@@ -299,12 +320,10 @@ def run_seq_phragmen(
         charge = {c: t_min - load[c] for c in per}
         if sum((charge[c] * k for c, k in per.items()), Fraction(0)) != inst.costs[p]:
             raise InvariantError(f"Phragmen charges for {p!r} do not sum to its cost")
-        trace.payments[p] = {
-            i: charge[classes.of[i]] for i in inst.approvers(p) if charge[classes.of[i]] > 0
-        }
+        trace.payments[p] = classes.spread(p, charge)
         classes.move(p, dict.fromkeys(per, t_min))
     outcome = frozenset(p for _, p, _ in trace.selections)
-    trace.voter_loads = {i: load[classes.of[i]] for i in inst.voters}
+    trace.voter_loads = classes.per_voter()
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
 
@@ -430,10 +449,7 @@ def run_gcr(
     """Greedy Cohesive Rule: repeatedly grant the highest-satisfaction
     project set demanded by a cohesive group of not-yet-served voters,
     then retire the maximal such group. Exponential; size-guarded."""
-    if inst.m > max_m or inst.n > max_n:
-        raise GuardExceededError(
-            f"instance size ({inst.n} voters, {inst.m} projects) exceeds guard"
-        )
+    _guard(inst, max_m, max_n)
     chosen: set[str] = set()
     active = set(inst.voters)
     while True:

@@ -47,6 +47,10 @@ MALFORMED_JSON = {
     "string-ballot": ('{"n": 1, "budget": "2", "projects": [{"id": "a", "cost": "1"},'
                       ' {"id": "b", "cost": "1"}], "approvals": ["ab"]}',
                       "must be a list of project ids"),
+    "bool-cost": ('{"n": 1, "budget": "2", "projects": [{"id": "a", "cost": true}],'
+                  ' "approvals": [["a"]]}', "not a rational number: True"),
+    "bool-budget": ('{"n": 1, "budget": true, "projects": [{"id": "a", "cost": "1"}],'
+                    ' "approvals": [["a"]]}', "not a rational number: True"),
 }
 
 
@@ -55,6 +59,8 @@ MALFORMED_PRICE_SYSTEMS = {
     "empty-object": "{}",
     "payments-list": '{"B": "3", "payments": []}',
     "voter-key": '{"B": "3", "payments": {"x": {"p1": "1"}}}',
+    "bool-budget": '{"B": true, "payments": {"1": {"p1": "1"}}}',
+    "bool-payment": '{"B": "3", "payments": {"1": {"p1": true}}}',
 }
 
 FIXTURES = Path(__file__).parent / "fixtures"

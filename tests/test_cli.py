@@ -357,3 +357,22 @@ def test_random_audit_sweep_prints_pass_rate_table():
     ]
     assert all(len(row) == 10 and all(cell.endswith("%") for cell in row[2:])
                for row in rows)
+
+
+def test_baseline_rows_writes_bench_json(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(pbprop.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "baseline_rows.py"),
+         "check", "maximin-100x20", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads((tmp_path / "BENCH_check.json").read_text())
+    assert bench["label"] == "check" and bench["timeout_s"] > 0
+    [row] = bench["rows"]
+    assert row["row"] == "maximin-100x20" and row["status"] == "ok"
+    assert row["wall_s"] > 0 and row["outcome_size"] > 0
+    assert len(row["stdout_sha256"]) == 64
