@@ -8,9 +8,9 @@ exhaustive cohesive-group search. Exponential by design; guarded.
 Every axiom quantifies over the same objects: a demanded set T and a group
 of its approvers N_T that can afford it, |N_T|·b >= n·c(T). `demand_sets`
 lists those T once per instance by a depth-first search over the sorted
-project ids that stops a branch at the first unaffordable set (supersets
-only cost more and lose approvers). The list is memoised on the instance,
-so the eight checkers and the greedy cohesive rule share one enumeration.
+ids that narrows the ballot types holding T, pruning at the first
+unaffordable set (supersets cost more and lose approvers). The list is
+memoised on the instance, shared by the eight checkers and by GCR.
 """
 from __future__ import annotations
 
@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardExceededError, InconsistentAuditError
 from .model import Instance, InstanceError
-from .satisfaction import SatisfactionFunction, voter_satisfaction
+from .satisfaction import SatisfactionFunction
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,8 @@ def _check_outcome(inst: Instance, outcome) -> frozenset[str]:
 # Shared demand-set enumeration
 
 
+# A distinct ballot and its holders, in ascending order
+BallotType = tuple[frozenset[str], Sequence[int]]
 # (group, intersection of its ballots, union of its ballots)
 Signature = tuple[frozenset[int], frozenset[str], frozenset[str]]
 
@@ -87,14 +89,18 @@ class Demand:
 
     t: frozenset[str]
     cost: Fraction
-    approvers: tuple[int, ...]  # N_T, ascending
+    types: tuple[BallotType, ...]  # the ballot types containing T, by lowest holder
     min_size: int  # smallest group size whose budget share covers c(T)
-    _inst: Instance = field(repr=False, compare=False)
+
+    @cached_property
+    def approvers(self) -> tuple[int, ...]:
+        """N_T in ascending order: every holder of a ballot containing T."""
+        return tuple(sorted(i for _, holders in self.types for i in holders))
 
     @cached_property
     def signatures(self) -> tuple[Signature, ...]:
-        """`_group_signatures` of the approvers, computed on first use."""
-        return tuple(_group_signatures(self._inst, self.approvers, self.min_size))
+        """`_group_signatures` of the ballot types, computed on first use."""
+        return tuple(_group_signatures(self.types, self.min_size))
 
 
 def demand_sets(inst: Instance) -> tuple[Demand, ...]:
@@ -102,21 +108,22 @@ def demand_sets(inst: Instance) -> tuple[Demand, ...]:
     reported witnesses are deterministic. Memoised on the instance."""
     if inst._demands is None:
         projects = sorted(inst.projects)
+        per_cost = inst.n / inst.budget  # group size needed per unit of cost
         found: list[Demand] = []
 
-        def extend(start: int, ids: tuple[str, ...], cost: Fraction, voters) -> None:
-            for j in range(start, len(projects)):
-                t_ids = ids + (projects[j],)
-                t_cost = cost + inst.costs[projects[j]]
-                t_voters = voters & inst.approvers(projects[j])
-                if len(t_voters) * inst.budget < inst.n * t_cost:
+        def extend(start: int, ids: tuple[str, ...], cost: Fraction, types) -> None:
+            for j, p in enumerate(projects[start:], start):
+                t_ids = ids + (p,)
+                t_cost = cost + inst.costs[p]
+                t_types = tuple([bt for bt in types if p in bt[0]])
+                need = t_cost * per_cost
+                if sum([len(h) for _, h in t_types]) < need:
                     continue  # no superset is affordable either
-                approvers = tuple(sorted(t_voters))
-                size = math.ceil(inst.n * t_cost / inst.budget)
-                found.append(Demand(frozenset(t_ids), t_cost, approvers, size, inst))
-                extend(j + 1, t_ids, t_cost, t_voters)
+                found.append(Demand(frozenset(t_ids), t_cost, t_types, math.ceil(need)))
+                extend(j + 1, t_ids, t_cost, t_types)
 
-        extend(0, (), Fraction(0), frozenset(inst.voters))
+        types = tuple((b, tuple(h)) for b, h in inst.ballot_types().items())
+        extend(0, (), Fraction(0), types)
         found.sort(key=lambda d: (len(d.t), sorted(d.t)))
         object.__setattr__(inst, "_demands", tuple(found))
     return inst._demands
@@ -126,6 +133,8 @@ def demand_sets(inst: Instance) -> tuple[Demand, ...]:
 # EJR family: a violating group consists only of voters the outcome leaves
 # unsatisfied for T, and any such set of sufficient size is itself a
 # cohesive witness, so per T it suffices to test the unsatisfied approvers.
+# A voter's satisfaction depends only on their ballot, so each ballot type
+# containing T is tested once for all its holders.
 
 
 def _ejr_family(
@@ -133,51 +142,26 @@ def _ejr_family(
     mu: SatisfactionFunction,
     outcome,
     axiom: str,
-    satisfied: Callable[[int, frozenset[str], Fraction], tuple[bool, dict]],
+    unmet: Callable[[frozenset[str], frozenset[str], Fraction], tuple | None],
     max_m: int,
     max_n: int,
+    skip_covered: bool = False,
 ) -> Violation | None:
+    """`unmet(ballot, T, mu(T))` is None when the ballot's holders are satisfied,
+    else (lhs, detail). Demands with T inside the outcome can be skipped."""
     _guard(inst, max_m, max_n)
-    _check_outcome(inst, outcome)
+    w = _check_outcome(inst, outcome)
     for d in demand_sets(inst):
         target = mu.value(d.t)
-        unsatisfied = []
-        details = {}
-        for i in d.approvers:
-            ok, info = satisfied(i, d.t, target)
-            if not ok:
-                unsatisfied.append(i)
-                details[i] = info
-        if len(unsatisfied) >= d.min_size:
-            rep = min(unsatisfied)
-            info = details[rep]
-            return Violation(
-                axiom=axiom,
-                witness=CohesiveWitness(t=d.t, group=frozenset(unsatisfied)),
-                lhs=info.pop("lhs"),
-                rhs=target,
-                detail={"voter": rep, **info},
-            )
+        if skip_covered and d.t <= w:
+            continue
+        failed = [(h, f) for b, h in d.types if (f := unmet(b, d.t, target)) is not None]
+        if sum(len(h) for h, _ in failed) >= d.min_size:
+            holders, (lhs, detail) = failed[0]  # holds the lowest unsatisfied voter
+            group = frozenset(i for h, _ in failed for i in h)
+            return Violation(axiom, CohesiveWitness(d.t, group), lhs, target,
+                             {"voter": holders[0], **detail})
     return None
-
-
-def _augmented_satisfaction(
-    inst: Instance, mu: SatisfactionFunction, w: frozenset[str]
-) -> Callable[[int, str], Fraction]:
-    """Memoized evaluator for a voter's satisfaction with w plus one more
-    project, with an exact shortcut for additive functions."""
-    base: dict[int, Fraction] = {}
-
-    def sat_with(i: int, p: str) -> Fraction:
-        if i not in base:
-            base[i] = voter_satisfaction(mu, inst, i, w)
-        if p in w or p not in inst.approval(i):
-            return base[i]
-        if mu.additive and mu.per_project is not None:
-            return base[i] + mu.per_project[p]
-        return voter_satisfaction(mu, inst, i, w | {p})
-
-    return sat_with
 
 
 def check_ejr(
@@ -190,14 +174,12 @@ def check_ejr(
     """Extended justified representation: every cohesive group contains a
     voter whose satisfaction with the outcome matches their demand."""
     w = frozenset(outcome)
-    base: dict[int, Fraction] = {}
 
-    def satisfied(i, t, target):
-        if i not in base:
-            base[i] = voter_satisfaction(mu, inst, i, w)
-        return base[i] >= target, {"lhs": base[i]}
+    def unmet(ballot, t, target):
+        got = mu.value(ballot & w)
+        return None if got >= target else (got, {})
 
-    return _ejr_family(inst, mu, outcome, "ejr", satisfied, max_m, max_n)
+    return _ejr_family(inst, mu, outcome, "ejr", unmet, max_m, max_n)
 
 
 def check_ejr1(
@@ -210,26 +192,20 @@ def check_ejr1(
     """EJR up to one project: some group member would beat the demand if
     any single unchosen project were added."""
     w = frozenset(outcome)
-    rescuers = [p for p in inst.projects if p not in w]
-    best_with_rescue: dict[int, Fraction] = {}
+    best_with_rescue: dict[frozenset[str], Fraction] = {}
 
-    def rescue_value(i: int) -> Fraction:
+    def unmet(ballot, t, target):
         # Adding a project the voter does not approve changes nothing, so
-        # the max over rescuers is independent of T and cached per voter.
-        if i not in best_with_rescue:
-            best_with_rescue[i] = max(
-                (voter_satisfaction(mu, inst, i, w | {p}) for p in rescuers),
-                default=voter_satisfaction(mu, inst, i, w),
+        # the best rescue is independent of T and cached per ballot type.
+        if ballot not in best_with_rescue:
+            share = ballot & w
+            best_with_rescue[ballot] = max(
+                (mu.value(share | {p}) for p in ballot - w), default=mu.value(share)
             )
-        return best_with_rescue[i]
+        best = best_with_rescue[ballot]
+        return None if best > target else (best, {})
 
-    def satisfied(i, t, target):
-        if t <= w:
-            return True, {}
-        best = rescue_value(i)
-        return best > target, {"lhs": best}
-
-    return _ejr_family(inst, mu, outcome, "ejr1", satisfied, max_m, max_n)
+    return _ejr_family(inst, mu, outcome, "ejr1", unmet, max_m, max_n, skip_covered=True)
 
 
 def check_ejr1_plus(
@@ -241,16 +217,15 @@ def check_ejr1_plus(
 ) -> Violation | None:
     """EJR up to one project drawn from the demanded set itself."""
     w = frozenset(outcome)
-    sat_with = _augmented_satisfaction(inst, mu, w)
 
-    def satisfied(i, t, target):
-        extra = t - w
-        if not extra:
-            return True, {}
-        best = max(sat_with(i, p) for p in extra)
-        return best > target, {"lhs": best}
+    def unmet(ballot, t, target):
+        share = ballot & w
+        best = max(mu.value(share | {p}) for p in t - w)
+        return None if best > target else (best, {})
 
-    return _ejr_family(inst, mu, outcome, "ejr1plus", satisfied, max_m, max_n)
+    return _ejr_family(
+        inst, mu, outcome, "ejr1plus", unmet, max_m, max_n, skip_covered=True
+    )
 
 
 def check_ejrx(
@@ -263,17 +238,13 @@ def check_ejrx(
     """EJR up to any project: some group member beats the demand no matter
     which single project from the demanded set is added."""
     w = frozenset(outcome)
-    sat_with = _augmented_satisfaction(inst, mu, w)
 
-    def satisfied(i, t, target):
-        extra = t - w
-        if not extra:
-            return True, {}
-        worst_p = min(extra, key=lambda p: (sat_with(i, p), p))
-        worst = sat_with(i, worst_p)
-        return worst > target, {"lhs": worst, "project": worst_p}
+    def unmet(ballot, t, target):
+        share = ballot & w
+        worst, p = min((mu.value(share | {p}), p) for p in t - w)
+        return None if worst > target else (worst, {"project": p})
 
-    return _ejr_family(inst, mu, outcome, "ejrx", satisfied, max_m, max_n)
+    return _ejr_family(inst, mu, outcome, "ejrx", unmet, max_m, max_n, skip_covered=True)
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +256,46 @@ def check_ejrx(
 # violating group shares its signature with some enumerated representative.
 
 
-def _group_signatures(
-    inst: Instance, approvers: Iterable[int], min_size: int
-) -> Iterator[Signature]:
+def _group_signatures(types: Iterable[BallotType], min_size: int) -> Iterator[Signature]:
     """Yield (group, intersection, union) for each achievable ballot
-    signature among subgroups of the approvers with at least min_size
-    members; deduplicated, deterministic order. The approvers are whole
-    ballot types, such as N_T: every holder of each ballot containing T."""
-    members = set(approvers)
-    by_ballot = {b: v for b, v in inst.ballot_types().items() if v[0] in members}
-    types = sorted(by_ballot, key=sorted)
+    signature among sets of the given ballot types, as (ballot, holders)
+    pairs, whose holders number at least min_size; deduplicated,
+    deterministic order. Each group holds every holder of its types."""
+    types = sorted(types, key=lambda bt: sorted(bt[0]))
     seen = set()
     for r in range(1, len(types) + 1):
         for combo in itertools.combinations(types, r):
-            members = sorted(i for t in combo for i in by_ballot[t])
-            if len(members) < min_size:
+            if sum(len(holders) for _, holders in combo) < min_size:
                 continue
-            inter = frozenset.intersection(*combo)
-            union = frozenset.union(*combo)
+            inter = frozenset.intersection(*(b for b, _ in combo))
+            union = frozenset.union(*(b for b, _ in combo))
             if (inter, union) in seen:
                 continue
             seen.add((inter, union))
-            yield frozenset(members), inter, union
+            yield frozenset(i for _, holders in combo for i in holders), inter, union
+
+
+def _pjr_family(
+    inst: Instance,
+    outcome,
+    axiom: str,
+    unmet: Callable[[Demand, frozenset[str], frozenset[str]], tuple | None],
+    max_m: int,
+    max_n: int,
+    skip_covered: bool = False,
+) -> Violation | None:
+    """`unmet(demand, intersection, share)` is None when the representative group
+    passes, else (lhs, rhs, detail); share is the outcome within its union."""
+    _guard(inst, max_m, max_n)
+    w = _check_outcome(inst, outcome)
+    for d in demand_sets(inst):
+        if skip_covered and d.t <= w:
+            continue
+        for group, inter, union in d.signatures:
+            failed = unmet(d, inter, w & union)
+            if failed is not None:
+                return Violation(axiom, CohesiveWitness(d.t, group), *failed)
+    return None
 
 
 def check_pjr(
@@ -321,20 +310,13 @@ def check_pjr(
 
     Any violating group shares its ballot signature with one of the
     enumerated representatives, so the search is exhaustive."""
-    _guard(inst, max_m, max_n)
-    w = _check_outcome(inst, outcome)
-    for d in demand_sets(inst):
+
+    def unmet(d, inter, share):
         target = mu.value(d.t)
-        for group, _, union in d.signatures:
-            got = mu.value(w & union)
-            if got < target:
-                return Violation(
-                    axiom="pjr",
-                    witness=CohesiveWitness(t=d.t, group=group),
-                    lhs=got,
-                    rhs=target,
-                )
-    return None
+        got = mu.value(share)
+        return None if got >= target else (got, target, {})
+
+    return _pjr_family(inst, outcome, "pjr", unmet, max_m, max_n)
 
 
 def check_pjrx(
@@ -346,26 +328,17 @@ def check_pjrx(
 ) -> Violation | None:
     """PJR up to any project: adding any single project from the demanded
     set to the group's share must beat the demand."""
-    _guard(inst, max_m, max_n)
-    w = _check_outcome(inst, outcome)
-    for d in demand_sets(inst):
-        extra = sorted(d.t - w)
-        if not extra:
-            continue
+    w = frozenset(outcome)
+
+    def unmet(d, inter, share):
         target = mu.value(d.t)
-        for group, _, union in d.signatures:
-            share = w & union
-            for p in extra:
-                got = mu.value(share | {p})
-                if got <= target:
-                    return Violation(
-                        axiom="pjrx",
-                        witness=CohesiveWitness(t=d.t, group=group),
-                        lhs=got,
-                        rhs=target,
-                        detail={"project": p},
-                    )
-    return None
+        for p in sorted(d.t - w):
+            got = mu.value(share | {p})
+            if got <= target:
+                return got, target, {"project": p}
+        return None
+
+    return _pjr_family(inst, outcome, "pjrx", unmet, max_m, max_n, skip_covered=True)
 
 
 def check_pjr1(
@@ -378,27 +351,17 @@ def check_pjr1(
     """PJR up to one project, with the rescuing project drawn from the
     group's common ballot. The common ballot shrinks as the group grows,
     so every achievable intersection/union signature is examined."""
-    _guard(inst, max_m, max_n)
-    w = _check_outcome(inst, outcome)
-    for d in demand_sets(inst):
-        if d.t <= w:
-            continue
+    w = frozenset(outcome)
+
+    def unmet(d, inter, share):
         target = mu.value(d.t)
-        for group, inter, union in d.signatures:
-            share = w & union
-            options = sorted(inter - w)
-            if any(mu.value(share | {p}) > target for p in options):
-                continue
-            best = max(
-                (mu.value(share | {p}) for p in options), default=mu.value(share)
-            )
-            return Violation(
-                axiom="pjr1",
-                witness=CohesiveWitness(t=d.t, group=group),
-                lhs=best,
-                rhs=target,
-            )
-    return None
+        options = sorted(inter - w)
+        if any(mu.value(share | {p}) > target for p in options):
+            return None
+        best = max((mu.value(share | {p}) for p in options), default=mu.value(share))
+        return best, target, {}
+
+    return _pjr_family(inst, outcome, "pjr1", unmet, max_m, max_n, skip_covered=True)
 
 
 def check_local_bpjr(
@@ -415,34 +378,26 @@ def check_local_bpjr(
     Every nonempty S inside the common ballot with c(S) <= c(T) is itself
     a demand (the group approves S and affords it), so the best-set search
     scans the shared demand list; the empty set never extends a share."""
-    _guard(inst, max_m, max_n)
-    w = _check_outcome(inst, outcome)
-    demands = demand_sets(inst)
-    for d in demands:
-        for group, inter, union in d.signatures:
-            base = w & union
-            if not base <= inter:
-                continue  # no subset of the common ballot can extend it
-            best_val = mu.value(frozenset())
-            best_sets = []
-            for s in demands:
-                if s.cost > d.cost or not s.t <= inter:
-                    continue
-                val = mu.value(s.t)
-                if val > best_val:
-                    best_val, best_sets = val, [s.t]
-                elif val == best_val:
-                    best_sets.append(s.t)
-            for star in best_sets:
-                if base < star:
-                    return Violation(
-                        axiom="localbpjr",
-                        witness=CohesiveWitness(t=d.t, group=group),
-                        lhs=mu.value(base),
-                        rhs=best_val,
-                        detail={"best_set": tuple(sorted(star))},
-                    )
-    return None
+
+    def unmet(d, inter, share):
+        if not share <= inter:
+            return None  # no subset of the common ballot can extend it
+        best_val = mu.value(frozenset())
+        best_sets = []
+        for s in demand_sets(inst):
+            if s.cost > d.cost or not s.t <= inter:
+                continue
+            val = mu.value(s.t)
+            if val > best_val:
+                best_val, best_sets = val, [s.t]
+            elif val == best_val:
+                best_sets.append(s.t)
+        for star in best_sets:
+            if share < star:
+                return mu.value(share), best_val, {"best_set": tuple(sorted(star))}
+        return None
+
+    return _pjr_family(inst, outcome, "localbpjr", unmet, max_m, max_n)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def _load_outcome(spec: str, inst: Instance) -> frozenset[str]:
     """An outcome is a comma-separated id list, or a path to a JSON list."""
     if Path(spec).is_file():
         ids = json.loads(Path(spec).read_text())
-        if not isinstance(ids, list):
+        if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
             raise ParseError("outcome file must hold a JSON list of project ids")
     elif spec in ("", "-"):
         ids = []
@@ -89,7 +89,7 @@ def _build_sat(selector: str, inst: Instance) -> SatisfactionFunction:
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, default=str) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _trace_json(trace: rules.RuleTrace) -> dict:

@@ -290,9 +290,12 @@ def parse_json(text: str) -> Instance:
     costs: dict[str, Fraction] = {}
     for entry in projects:
         try:
-            if entry["id"] in costs:
-                raise ParseError(f"duplicate project id {entry['id']!r}")
-            costs[entry["id"]] = parse_money(entry["cost"])
+            pid = entry["id"]
+            if not isinstance(pid, str):
+                raise ParseError(f"project id must be a string, not {pid!r}")
+            if pid in costs:
+                raise ParseError(f"duplicate project id {pid!r}")
+            costs[pid] = parse_money(entry["cost"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed project entry {entry!r}") from exc
     try:

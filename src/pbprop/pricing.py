@@ -169,8 +169,7 @@ def _invert(payments: Mapping[str, Mapping[int, Fraction]]) -> dict[int, dict[st
     by_voter: dict[int, dict[str, Fraction]] = {}
     for p, per in payments.items():
         for i, amount in per.items():
-            if amount > 0:
-                by_voter.setdefault(i, {})[p] = amount
+            by_voter.setdefault(i, {})[p] = amount
     return by_voter
 
 

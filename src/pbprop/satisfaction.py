@@ -43,7 +43,8 @@ class SatisfactionFunction:
     For additive kinds ``per_project`` holds the exact per-project values;
     ``value`` sums them and keeps each sum per set, while a set it cannot
     value raises again on every call. The cc kind is the only non-additive
-    built-in.
+    built-in; any other kind without per-project values raises
+    ``CapabilityError`` from ``value``.
     """
 
     kind: str
@@ -62,7 +63,8 @@ class SatisfactionFunction:
             return total
         if self.kind == "cc":
             return Fraction(0) if not s else Fraction(1)
-        assert self.per_project is not None
+        if self.per_project is None:
+            raise CapabilityError(f"{self.kind} has no per-project values to sum")
         total = Fraction(0)
         for p in s:
             try:
@@ -87,43 +89,35 @@ def voter_satisfaction(
 # Built-in constructors
 
 
-def cost_sat(inst: Instance) -> SatisfactionFunction:
+def _additive(
+    kind: str, table: Mapping[str, Fraction], cost_neutral: bool = True
+) -> SatisfactionFunction:
     return SatisfactionFunction(
-        kind="cost",
+        kind=kind,
         additive=True,
-        cost_neutral=True,
+        cost_neutral=cost_neutral,
         strictly_increasing=True,
-        per_project={p: inst.costs[p] for p in inst.projects},
+        per_project=table,
     )
+
+
+def cost_sat(inst: Instance) -> SatisfactionFunction:
+    return _additive("cost", {p: inst.costs[p] for p in inst.projects})
 
 
 def cardinality_sat(inst: Instance) -> SatisfactionFunction:
-    return SatisfactionFunction(
-        kind="cardinality",
-        additive=True,
-        cost_neutral=True,
-        strictly_increasing=True,
-        per_project={p: Fraction(1) for p in inst.projects},
-    )
+    return _additive("cardinality", {p: Fraction(1) for p in inst.projects})
 
 
 def sqrt_cost_sat(inst: Instance) -> SatisfactionFunction:
-    return SatisfactionFunction(
-        kind="sqrt_cost",
-        additive=True,
-        cost_neutral=True,
-        strictly_increasing=True,
-        per_project={p: _rationalize(inst.costs[p], "sqrt") for p in inst.projects},
+    return _additive(
+        "sqrt_cost", {p: _rationalize(inst.costs[p], "sqrt") for p in inst.projects}
     )
 
 
 def log_cost_sat(inst: Instance) -> SatisfactionFunction:
-    return SatisfactionFunction(
-        kind="log_cost",
-        additive=True,
-        cost_neutral=True,
-        strictly_increasing=True,
-        per_project={p: _rationalize(inst.costs[p], "log1p") for p in inst.projects},
+    return _additive(
+        "log_cost", {p: _rationalize(inst.costs[p], "log1p") for p in inst.projects}
     )
 
 
@@ -141,13 +135,7 @@ def share_sat(inst: Instance) -> SatisfactionFunction:
         k = len(inst.approvers(p))
         if k > 0:
             table[p] = inst.costs[p] / k
-    return SatisfactionFunction(
-        kind="share",
-        additive=True,
-        cost_neutral=False,
-        strictly_increasing=True,
-        per_project=table,
-    )
+    return _additive("share", table, cost_neutral=False)
 
 
 def table_sat(values: Mapping[str, object]) -> SatisfactionFunction:
@@ -155,13 +143,7 @@ def table_sat(values: Mapping[str, object]) -> SatisfactionFunction:
     for p, v in table.items():
         if v <= 0:
             raise ValueError(f"table value for {p!r} must be strictly positive")
-    return SatisfactionFunction(
-        kind="table",
-        additive=True,
-        cost_neutral=False,
-        strictly_increasing=True,
-        per_project=table,
-    )
+    return _additive("table", table, cost_neutral=False)
 
 
 def cost_map_sat(inst: Instance, cost_map: Mapping[object, object]) -> SatisfactionFunction:
@@ -175,13 +157,7 @@ def cost_map_sat(inst: Instance, cost_map: Mapping[object, object]) -> Satisfact
         if parsed[c] <= 0:
             raise ValueError(f"cost map value for cost {c} must be strictly positive")
         table[p] = parsed[c]
-    return SatisfactionFunction(
-        kind="cost_map",
-        additive=True,
-        cost_neutral=True,
-        strictly_increasing=True,
-        per_project=table,
-    )
+    return _additive("cost_map", table)
 
 
 BUILTINS = {
@@ -283,13 +259,8 @@ def dns_counterexample_instance(
 def _induced_mu(inst: Instance, s: Mapping[Fraction, Fraction], scale_c: Fraction,
                 scale_v: Fraction) -> SatisfactionFunction:
     # Instance costs are rescaled; map values through the original map.
-    table = {p: s[inst.costs[p] * scale_c] * scale_v for p in inst.projects}
-    return SatisfactionFunction(
-        kind="cost_map",
-        additive=True,
-        cost_neutral=True,
-        strictly_increasing=True,
-        per_project=table,
+    return _additive(
+        "cost_map", {p: s[inst.costs[p] * scale_c] * scale_v for p in inst.projects}
     )
 
 

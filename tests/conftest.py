@@ -51,6 +51,13 @@ MALFORMED_JSON = {
                   ' "approvals": [["a"]]}', "not a rational number: True"),
     "bool-budget": ('{"n": 1, "budget": true, "projects": [{"id": "a", "cost": "1"}],'
                     ' "approvals": [["a"]]}', "not a rational number: True"),
+    "int-id": ('{"n": 1, "budget": "2", "projects": [{"id": 1, "cost": "1"}],'
+               ' "approvals": [[1]]}', "project id must be a string, not 1"),
+    "null-id": ('{"n": 1, "budget": "2", "projects": [{"id": null, "cost": "1"}],'
+                ' "approvals": [[null]]}', "project id must be a string, not None"),
+    "mixed-ids": ('{"n": 2, "budget": "2", "projects": [{"id": "a", "cost": "1"},'
+                  ' {"id": 1, "cost": "1"}], "approvals": [["a"], [1]]}',
+                  "project id must be a string, not 1"),
 }
 
 

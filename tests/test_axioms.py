@@ -193,7 +193,7 @@ def test_group_signatures_cover_all_voter_subsets(tiny_instances):
                      frozenset.union(*ballots))
                 )
         enumerated = {}
-        for group, inter, union in _group_signatures(inst, voters, 1):
+        for group, inter, union in _group_signatures(inst.ballot_types().items(), 1):
             enumerated[(inter, union)] = group
         assert set(enumerated) == naive
         # each representative group holds every voter with a matching ballot

@@ -165,6 +165,15 @@ def test_audit_outcome_file(capsys, inst_file, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("ids", ['[["p2"]]', '[1, null]', '{"p2": 1}'])
+def test_audit_outcome_file_must_list_ids(capsys, inst_file, tmp_path, ids):
+    w = tmp_path / "w.json"
+    w.write_text(ids)
+    code, out, err = run_cli(capsys, "audit", inst_file, str(w))
+    assert code == 1 and out == ""
+    assert "pb: outcome file must hold a JSON list of project ids" in err
+
+
 def test_audit_guard_exit_code(capsys, tmp_path):
     big = Instance.create({"a": 1}, [{"a"} for _ in range(13)], 13)
     path = tmp_path / "big.json"

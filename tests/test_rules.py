@@ -364,6 +364,22 @@ def test_maximin_matches_eager_reference(cross_check_pool, tie):
                   fields)
 
 
+@pytest.mark.parametrize("rule", ["phragmen", "phragmen-skip", "maximin"])
+def test_trace_payments_are_positive(cross_check_pool, rule):
+    # price extraction copies trace payments as they are, zeros included
+    for inst in cross_check_pool:
+        if rule == "maximin":
+            w, tr = run_maximin_support(inst)
+        else:
+            w, tr = run_seq_phragmen(inst, skip_blocked=rule == "phragmen-skip")
+        assert set(tr.payments) == set(w)
+        for p, charges in tr.payments.items():
+            assert sum(charges.values(), Fraction(0)) == inst.costs[p]
+            for i, amount in charges.items():
+                assert amount > 0
+                assert p in inst.approval(i)
+
+
 def test_maximin_rebalances_no_more_than_eager(cross_check_pool, monkeypatch):
     calls = []
     balance = rules.balance_loads

@@ -1,15 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
+import pbprop
 from pbprop.errors import CapabilityError, GuardExceededError
 from pbprop.model import Instance
 from pbprop.repro import priceable_not_pjrx_example, table_mu_example
 from pbprop.satisfaction import (
+    SatisfactionFunction,
     UndefinedShareError,
     cardinality_sat,
     cc_sat,
@@ -82,6 +88,29 @@ def test_value_keeps_sums_but_not_failures():
     with pytest.raises(KeyError):
         table.value({"a", "b"})
     assert table.value({"a"}) == 2
+
+
+_NO_TABLE = """
+from pbprop.satisfaction import SatisfactionFunction
+SatisfactionFunction("custom", False, True, False).value({"a"})
+"""
+
+
+def test_value_without_table_raises_capability_error():
+    mu = SatisfactionFunction("custom", False, True, False)
+    with pytest.raises(CapabilityError):
+        mu.value({"a"})
+    assert cc_sat().value({"a"}) == 1  # cc needs no table
+    # a typed error, not an assert, so the check survives python -O
+    src = str(Path(pbprop.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _NO_TABLE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "CapabilityError" in proc.stderr
 
 
 def test_share_value_on_priceable_example():
