@@ -11,6 +11,7 @@ broken (a bug in pbprop, never a property of the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -23,9 +24,11 @@ from .model import (
     Instance,
     InstanceError,
     ParseError,
+    dumps,
     emit_json,
     generate_random,
     money_str,
+    money_str_memo,
     parse_json,
     parse_money,
     parse_pabulib,
@@ -74,29 +77,39 @@ def _load_outcome(spec: str, inst: Instance) -> frozenset[str]:
     return frozenset(ids)
 
 
+def _load_object(path: str) -> dict:
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ParseError(f"{path} must hold a JSON object")
+    return data
+
+
 def _build_sat(selector: str, inst: Instance) -> SatisfactionFunction:
     if selector in BUILTINS:
         return BUILTINS[selector](inst)
     if selector == "cc":
         return cc_sat()
     if selector.startswith("table:"):
-        table = json.loads(Path(selector[len("table:"):]).read_text())
+        table = _load_object(selector[len("table:"):])
+        for p in inst.projects:
+            if p not in table:
+                raise CapabilityError(f"satisfaction table has no value for project {p!r}")
         return table_sat(table)
     if selector.startswith("costmap:"):
-        cost_map = json.loads(Path(selector[len("costmap:"):]).read_text())
-        return cost_map_sat(inst, cost_map)
+        return cost_map_sat(inst, _load_object(selector[len("costmap:"):]))
     raise ParseError(f"unknown satisfaction selector {selector!r}")
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(dumps(payload) + "\n")
 
 
 def _trace_json(trace: rules.RuleTrace) -> dict:
+    text = money_str_memo()
     data: dict = {
         "selections": [[r, p, money_str(v)] for r, p, v in trace.selections],
         "payments": {
-            p: {str(i): money_str(a) for i, a in sorted(per.items())}
+            p: {str(i): text(a) for i, a in sorted(per.items())}
             for p, per in sorted(trace.payments.items())
         },
         "exhaustive": trace.exhaustive,
@@ -124,6 +137,7 @@ def _violation_json(v: axioms.Violation) -> dict:
 SAT_HELP = "cost|card|sqrt|log|cc|share|table:<file>|costmap:<file>"
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _make_parser() -> _Parser:
     parser = _Parser(prog="pb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

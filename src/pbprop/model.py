@@ -11,7 +11,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Iterable, Mapping, Sequence
 
 Money = Fraction
 
@@ -25,21 +26,89 @@ class ParseError(InstanceError):
 
 
 def parse_money(value: str | int | Fraction) -> Fraction:
-    """Parse an exact rational from "p/q", decimal, or integer notation."""
+    """Parse an exact rational from "p/q", decimal, or integer notation.
+
+    Exponent notation is refused: ``Fraction("1e400100000")`` would build
+    a 400-million-digit integer."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):  # a JSON true/false, not an amount
         raise ParseError(f"not a rational number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
+    text = str(value).strip()
+    if "e" in text or "E" in text:
+        raise ParseError(f"not a rational number: {value!r}")
     try:
-        return Fraction(str(value).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {value!r}") from exc
 
 
 def money_str(value: Fraction) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
+
+
+def money_str_memo() -> Callable[[Fraction], str]:
+    """``money_str`` that formats each amount object once.
+
+    Rule traces and price systems share one ``Fraction`` object among all
+    voters of a class, so a payload of thousands of payments holds a few
+    hundred objects. The memo is keyed by ``id()``, which is far cheaper
+    than hashing a ``Fraction``, and keeps every amount it has seen alive,
+    so an id cannot be reused while the memo is in use."""
+    texts: dict[int, str] = {}
+    seen: list[Fraction] = []
+
+    def text(value: Fraction) -> str:
+        s = texts.get(id(value))
+        if s is None:
+            s = texts[id(value)] = money_str(value)
+            seen.append(value)
+        return s
+
+    return text
+
+
+def dumps(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte.
+
+    Every JSON document pbprop writes goes through here. It takes only the
+    types payloads hold: dicts with str keys, lists, str, int, bool and
+    None; anything else raises ``TypeError``. Strings are quoted by the C
+    ``encode_basestring_ascii`` and each container is one ``join``, because
+    with ``indent`` the standard library falls back to its pure-Python
+    encoder."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, nl: str) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _dumps(v, inner))
+            for k, v in obj.items()  # _quote raises TypeError on a non-str key
+        ]) + nl + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else _dumps(v, inner) for v in obj
+        ]) + nl + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"cannot write {type(obj).__name__} as a JSON payload value")
 
 
 @dataclass(frozen=True)
@@ -272,7 +341,7 @@ def parse_json(text: str) -> Instance:
     """Parse the canonical JSON instance encoding (exact "p/q" rationals)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: too many digits
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         n = data["n"]
@@ -317,7 +386,7 @@ def emit_json(inst: Instance) -> str:
         "projects": [{"id": p, "cost": money_str(inst.costs[p])} for p in inst.projects],
         "approvals": [sorted(ballot) for ballot in inst.approvals],
     }
-    return json.dumps(data, indent=2)
+    return dumps(data)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from typing import Mapping
 
 from .errors import GuardExceededError
 from .lp import solve_lp
-from .model import Instance, InstanceError, ParseError, money_str, parse_money
+from .model import (
+    Instance, InstanceError, ParseError, dumps, money_str, money_str_memo, parse_money,
+)
 from .rules import RuleTrace
 
 CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -49,16 +51,17 @@ class PriceSystem:
 
     def to_dict(self) -> dict:
         """The JSON object of ``to_json``: exact "p/q" amounts, sorted keys."""
+        text = money_str_memo()
         return {
             "B": money_str(self.budget),
             "payments": {
-                str(i): {p: money_str(v) for p, v in sorted(per.items())}
+                str(i): {p: text(v) for p, v in sorted(per.items())}
                 for i, per in sorted(self.payments.items())
             },
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "PriceSystem":

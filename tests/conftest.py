@@ -23,6 +23,16 @@ def make_instance(seed, max_n=6, max_m=8, unit_cost=False):
     return generate_random(params, seed)
 
 
+def pabulib_text(costs, budget, ballots) -> str:
+    """A Pabulib ``.pb`` file with only the columns pbprop reads."""
+    rows = ["META", "key;value", f"num_projects;{len(costs)}", f"num_votes;{len(ballots)}",
+            f"budget;{budget}", "vote_type;approval", "PROJECTS", "project_id;cost"]
+    rows += [f"{p};{c}" for p, c in costs.items()]
+    rows += ["VOTES", "voter_id;vote"]
+    rows += [f"{i};{','.join(sorted(b))}" for i, b in enumerate(ballots, start=1)]
+    return "\n".join(rows) + "\n"
+
+
 def random_outcome(inst, seed):
     """A random feasible outcome: shuffle projects, add greedily."""
     rng = random.Random(seed * 104729 + 1)
@@ -58,6 +68,8 @@ MALFORMED_JSON = {
     "mixed-ids": ('{"n": 2, "budget": "2", "projects": [{"id": "a", "cost": "1"},'
                   ' {"id": 1, "cost": "1"}], "approvals": [["a"], [1]]}',
                   "project id must be a string, not 1"),
+    "huge-int": ('{"n": ' + "9" * 5000 + "}", "invalid JSON"),
+    "deep-nesting": ("[" * 100_000, "invalid JSON"),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 import pbprop
 from conftest import FIXTURES, MALFORMED_JSON, MALFORMED_PRICE_SYSTEMS
 from pbprop import rules
-from pbprop.cli import main
+from pbprop.cli import _make_parser, main
 from pbprop.model import Instance, emit_json, parse_json
 
 
@@ -314,6 +314,31 @@ def test_malformed_json_is_parse_error(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, "run", "--rule", "mes", str(path))
     assert code == 1 and out == "" and fragment in err
 
+
+@pytest.mark.parametrize("verb", [
+    ["run", "--rule", "mes"], ["run", "--rule", "gcr"], ["audit"],
+    ["price", "extract", "--rule", "mes"],
+])
+def test_table_missing_a_project_is_usage_error(capsys, inst_file, tmp_path, verb):
+    table = tmp_path / "t.json"
+    table.write_text('{"p1": 1, "p3": 2}')
+    argv = [*verb, "--sat", f"table:{table}", inst_file] + (["p1"] if verb == ["audit"] else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err == "pb: satisfaction table has no value for project 'p2'\n"
+
+
+@pytest.mark.parametrize("selector", ["table", "costmap"])
+@pytest.mark.parametrize("verb", [["run", "--rule", "mes"], ["audit"]])
+def test_sat_file_must_hold_an_object(capsys, inst_file, tmp_path, selector, verb):
+    path = tmp_path / "sat.json"
+    path.write_text("[1]")
+    argv = [*verb, "--sat", f"{selector}:{path}", inst_file] + (["p1"] if verb == ["audit"] else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"pb: {path} must hold a JSON object\n"
+
+
 def test_unknown_sat_selector(capsys, inst_file):
     code, _, _ = run_cli(
         capsys, "run", "--rule", "mes", "--sat", "bogus", inst_file
@@ -326,6 +351,31 @@ def test_bad_rule_choice_is_usage_error(capsys, inst_file):
         main(["run", "--rule", "bogus", inst_file])
     assert exc.value.code == 64
     capsys.readouterr()
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys, inst_file):
+    """Calls in one process share a parser; each must act as a fresh `pb`."""
+    assert _make_parser() is _make_parser()
+    src = str(Path(pbprop.__file__).resolve().parents[1])
+    sequence = [
+        ["run", "--rule", "bogus", inst_file],
+        ["run", "--rule", "phragmen", "--skip-blocked", inst_file],
+        ["run", "--rule", "phragmen", inst_file],
+        ["audit", "--sat", "card", inst_file, "p2,p3"],
+        ["gen", "--n", "3", "--m", "4", "--seed", "5"],
+    ]
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors exit from the parser
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pbprop.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert code == 0 and json.loads(out)["n"] == 3
 
 
 def test_unknown_outcome_project(capsys, inst_file):

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, MALFORMED_JSON
+from conftest import FIXTURES, MALFORMED_JSON, pabulib_text
 from pbprop.model import (
     GenParams,
     Instance,
     InstanceError,
     ParseError,
+    dumps,
     emit_json,
     generate_random,
     money_str,
+    money_str_memo,
     parse_json,
     parse_money,
     parse_pabulib,
@@ -203,3 +205,126 @@ def test_generator_unit_cost():
 def test_generator_json_roundtrip(seed, n, m):
     inst = generate_random(GenParams(n=n, m=m), seed)
     assert parse_json(emit_json(inst)) == inst
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer and the parsers under generated input
+
+JSON_TEXT = st.text(st.one_of(
+    st.characters(),  # every code point but surrogates, non-ASCII included
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029\ufeff'),
+))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_is_json_dumps_indent_2(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [(1, 2), Fraction(1, 2), 0.5, {1: "a"}, {"a": [("nested",)]}, [{"a": 1.0}], {None: 1}],
+    ids=["tuple", "fraction", "float", "int-key", "nested-tuple", "nested-float", "none-key"],
+)
+def test_dumps_rejects_what_payloads_do_not_hold(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+def test_money_str_memo_formats_each_object_once():
+    class Counted(Fraction):
+        strs = 0
+
+        def __str__(self):
+            Counted.strs += 1
+            return super().__str__()
+
+    half, also_half = Counted(1, 2), Counted(2, 4)
+    text = money_str_memo()
+    assert [text(half), text(also_half), text(half), text(Fraction(3))] == ["1/2", "1/2", "1/2", "3"]
+    assert Counted.strs == 2  # once per object, not per call or per value
+
+
+PROJECT_IDS = st.lists(JSON_TEXT, min_size=1, max_size=6, unique=True)
+AMOUNTS = st.fractions(min_value=Fraction(1, 10**6), max_value=10**9)
+
+
+@st.composite
+def instances(draw, ids=PROJECT_IDS):
+    projects = draw(ids)
+    costs = {p: draw(AMOUNTS) for p in projects}
+    ballots = draw(st.lists(st.sets(st.sampled_from(projects)), min_size=1, max_size=8))
+    return Instance.create(costs, ballots, draw(AMOUNTS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_json_roundtrip_on_generated_instances(inst):
+    assert parse_json(emit_json(inst)) == inst
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(ids=st.lists(st.from_regex(r"[\w\-.]{1,8}", fullmatch=True),
+                              min_size=1, max_size=6, unique=True)))
+def test_pabulib_roundtrip_on_generated_instances(inst):
+    text = pabulib_text(inst.costs, inst.budget, inst.approvals)
+    assert parse_pabulib(text) == inst
+
+
+EDIT_TOKENS = st.sampled_from([
+    ";", ",", '"', "\n", "\r", "\x00", "{", "}", "[", "]", ":", "-", "/", ".", "0", "7",
+    " ", "e", "\u017c", "META", "PROJECTS", "VOTES", "true", "null", "1e400",
+    "NaN", "Infinity", "1/0", "-3", "[[[[", '{"n": ', "9" * 5000,
+])
+EDITS = st.lists(st.tuples(st.integers(0, 3), st.floats(0, 1), st.floats(0, 1), EDIT_TOKENS),
+                 min_size=1, max_size=6)
+
+
+def _mutate(text: str, edits) -> str:
+    """Deletions, insertions, replacements and duplicated stretches at
+    relative positions."""
+    for op, x, y, token in edits:
+        i, j = sorted((int(x * len(text)), int(y * len(text))))
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + token + text[i:]
+        elif op == 2:
+            text = text[:i] + token + text[i + 1:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+FUZZ_BASES = {
+    "pabulib": (parse_pabulib, PB_TEXT),
+    "pabulib-extra-columns": (parse_pabulib, (FIXTURES / "pabulib_extra_columns.pb").read_text()),
+    "json": (parse_json, emit_json(Instance.create(
+        {"p1": "5/2", "p2": 1, "p3": "1/3"}, [{"p1", "p2"}, {"p2"}, {"p3"}], "7/2"))),
+}
+
+
+@pytest.mark.parametrize("base", sorted(FUZZ_BASES))
+@settings(max_examples=300, deadline=None)
+@given(edits=EDITS)
+def test_parsers_raise_only_parse_error_on_mutated_text(base, edits):
+    parse, text = FUZZ_BASES[base]
+    try:
+        parse(_mutate(text, edits))
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize("amount", ["1e400", "1E3", "2.5e-1", "inf", "nan"])
+def test_parse_money_refuses_exponents_and_non_finite(amount):
+    with pytest.raises(ParseError, match="not a rational number"):
+        parse_pabulib(PB_TEXT.replace("budget;7/2", f"budget;{amount}"))
+    with pytest.raises(ParseError, match="not a rational number"):
+        parse_money(amount)
