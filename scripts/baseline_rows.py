@@ -28,6 +28,7 @@ from pathlib import Path
 from time import perf_counter
 
 TIMEOUT_S = 600
+SRC = Path(__file__).resolve().parents[1] / "src"
 ROWS = {
     "mes-1000x40": ("mes", 1000, 40),
     "mes-5000x60": ("mes", 5000, 60),
@@ -45,7 +46,9 @@ ROWS = {
 
 def run_row(name: str) -> None:
     """Child side: run one row, print its result on stdout and the seconds
-    of the timed call on stderr."""
+    of the timed call on stderr. It imports pbprop from this checkout's
+    ``src/``, whatever PYTHONPATH says."""
+    sys.path.insert(0, str(SRC))
     from pbprop.model import GenParams, generate_random
     from pbprop.pricing import find_price_system
     from pbprop.rules import run_maximin_support, run_mes, run_seq_phragmen

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +26,7 @@ from .model import (
     dumps,
     emit_json,
     generate_random,
+    load_json,
     money_str,
     money_str_memo,
     parse_json,
@@ -64,7 +64,7 @@ def _load_instance(path: str) -> Instance:
 def _load_outcome(spec: str, inst: Instance) -> frozenset[str]:
     """An outcome is a comma-separated id list, or a path to a JSON list."""
     if Path(spec).is_file():
-        ids = json.loads(Path(spec).read_text())
+        ids = load_json(Path(spec).read_text())
         if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
             raise ParseError("outcome file must hold a JSON list of project ids")
     elif spec in ("", "-"):
@@ -78,7 +78,7 @@ def _load_outcome(spec: str, inst: Instance) -> frozenset[str]:
 
 
 def _load_object(path: str) -> dict:
-    data = json.loads(Path(path).read_text())
+    data = load_json(Path(path).read_text())
     if not isinstance(data, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return data
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"pb: internal invariant broken: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ParseError, InstanceError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, InstanceError, OSError) as exc:
         print(f"pb: {exc}", file=sys.stderr)
         return EXIT_IO
     except (CapabilityError, ValueError) as exc:

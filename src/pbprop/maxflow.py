@@ -1,58 +1,65 @@
-"""Small exact-rational max-flow (Edmonds-Karp) for load balancing."""
+"""Small exact max-flow (Edmonds-Karp) on integer capacities.
+
+Load balancing has rational capacities; its caller scales them all by one
+common denominator first. Scaling every capacity by the same positive
+constant keeps the BFS order and every bottleneck comparison, so the flow
+found is the rational flow times that constant, computed on Python ints.
+"""
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 
 
 class FlowNetwork:
-    """Directed flow network over integer node ids with Fraction capacities."""
+    """Directed flow network over integer node ids with int capacities."""
 
     def __init__(self, n_nodes: int) -> None:
         self.n = n_nodes
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
         self.to: list[int] = []
-        self.cap: list[Fraction] = []
+        self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: Fraction) -> int:
+    def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add edge u->v; returns its index (reverse edge is index^1)."""
         idx = len(self.to)
         self.adj[u].append(idx)
         self.to.append(v)
-        self.cap.append(Fraction(cap))
+        self.cap.append(cap)
         self.adj[v].append(idx + 1)
         self.to.append(u)
-        self.cap.append(Fraction(0))
+        self.cap.append(0)
         return idx
 
-    def max_flow(self, s: int, t: int) -> Fraction:
-        total = Fraction(0)
+    def max_flow(self, s: int, t: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
+        total = 0
         while True:
+            # breadth-first search; it stops as soon as t is labelled, which
+            # leaves the labels on t's path as a full search would
             parent_edge = [-1] * self.n
             parent_edge[s] = -2
-            queue = deque([s])
-            while queue and parent_edge[t] == -1:
-                u = queue.popleft()
-                for idx in self.adj[u]:
-                    v = self.to[idx]
-                    if parent_edge[v] == -1 and self.cap[idx] > 0:
-                        parent_edge[v] = idx
-                        queue.append(v)
-            if parent_edge[t] == -1:
+            queue = [s]
+            for u in queue:
+                for idx in adj[u]:
+                    if cap[idx] > 0:
+                        v = to[idx]
+                        if parent_edge[v] == -1:
+                            parent_edge[v] = idx
+                            queue.append(v)
+                if parent_edge[t] != -1:
+                    break
+            else:
                 return total
-            bottleneck = None
+            path = []
             v = t
             while v != s:
                 idx = parent_edge[v]
-                if bottleneck is None or self.cap[idx] < bottleneck:
-                    bottleneck = self.cap[idx]
-                v = self.to[idx ^ 1]
-            v = t
-            while v != s:
-                idx = parent_edge[v]
-                self.cap[idx] -= bottleneck
-                self.cap[idx ^ 1] += bottleneck
-                v = self.to[idx ^ 1]
+                path.append(idx)
+                v = to[idx ^ 1]
+            bottleneck = min(cap[idx] for idx in path)
+            for idx in path:
+                cap[idx] -= bottleneck
+                cap[idx ^ 1] += bottleneck
             total += bottleneck
 
     def reachable(self, s: int) -> set[int]:
@@ -68,6 +75,6 @@ class FlowNetwork:
                     queue.append(v)
         return seen
 
-    def flow_on(self, idx: int) -> Fraction:
+    def flow_on(self, idx: int) -> int:
         """Flow pushed along edge idx (equals residual of the reverse edge)."""
         return self.cap[idx ^ 1]

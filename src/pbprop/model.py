@@ -337,12 +337,18 @@ def parse_pabulib(text: str) -> Instance:
 # JSON round trip
 
 
-def parse_json(text: str) -> Instance:
-    """Parse the canonical JSON instance encoding (exact "p/q" rationals)."""
+def load_json(text: str):
+    """``json.loads`` for every JSON file pbprop reads: malformed text,
+    integers past the digit limit and deep nesting are all ``ParseError``."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: too many digits
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def parse_json(text: str) -> Instance:
+    """Parse the canonical JSON instance encoding (exact "p/q" rationals)."""
+    data = load_json(text)
     try:
         n = data["n"]
         budget = parse_money(data["budget"])

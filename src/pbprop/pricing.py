@@ -16,7 +16,6 @@ and a payment function d_i over projects. The six conditions checked here:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -24,7 +23,8 @@ from typing import Mapping
 from .errors import GuardExceededError
 from .lp import solve_lp
 from .model import (
-    Instance, InstanceError, ParseError, dumps, money_str, money_str_memo, parse_money,
+    Instance, InstanceError, ParseError, dumps, load_json, money_str, money_str_memo,
+    parse_money,
 )
 from .rules import RuleTrace
 
@@ -67,7 +67,7 @@ class PriceSystem:
     def from_json(cls, text: str) -> "PriceSystem":
         """Parse ``to_json`` output; anything else raises ``ParseError``."""
         try:
-            data = json.loads(text)
+            data = load_json(text)
             return cls(
                 budget=parse_money(data["B"]),
                 payments={

@@ -11,6 +11,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .axioms import _guard, demand_sets
@@ -338,7 +339,10 @@ def balance_loads(inst: Instance, w: Iterable[str]) -> LoadAssignment:
 
     Feasibility of a load cap is a max-flow question; the cap is raised to
     the ratio c(S)/|N(S)| of the min-cut's violating project set S until
-    feasible, which terminates at the optimum max_S c(S)/|N(S)|.
+    feasible, which terminates at the optimum max_S c(S)/|N(S)|. The flows
+    run on ints: costs are counted in units of 1/lcm(cost denominators),
+    each flow scales its capacities by the lcm of that and the cap's
+    denominator, and only the returned loads and caps are Fractions.
     """
     w = sorted(set(w))
     if not w:
@@ -351,47 +355,51 @@ def balance_loads(inst: Instance, w: Iterable[str]) -> LoadAssignment:
     v_node = {i: k + 1 for k, i in enumerate(voters)}
     p_node = {p: len(voters) + 1 + k for k, p in enumerate(w)}
     sink = len(voters) + len(w) + 1
-    total = sum((inst.costs[p] for p in w), Fraction(0))
+    unit = lcm(*(inst.costs[p].denominator for p in w))
+    cost = {p: inst.costs[p].numerator * (unit // inst.costs[p].denominator) for p in w}
+    total = sum(cost.values())
 
-    def attempt(lam: Fraction) -> tuple[FlowNetwork, dict, Fraction]:
+    def attempt(lam: Fraction) -> tuple[FlowNetwork, dict, int, int]:
+        scale = lcm(unit, lam.denominator)
+        k = scale // unit
         net = FlowNetwork(sink + 1)
+        cap = lam.numerator * (scale // lam.denominator)
         for i in voters:
-            net.add_edge(0, v_node[i], lam)
+            net.add_edge(0, v_node[i], cap)
+        # effectively unbounded: must never saturate, so that the min cut
+        # consists of source and sink edges only
+        unbounded = (total + unit) * k
         arc = {}
         for p in w:
             for i in supporters[p]:
-                # effectively unbounded: must never saturate, so that the
-                # min cut consists of source and sink edges only
-                arc[(i, p)] = net.add_edge(v_node[i], p_node[p], total + 1)
-            net.add_edge(p_node[p], sink, inst.costs[p])
-        value = net.max_flow(0, sink)
-        return net, arc, value
+                arc[(i, p)] = net.add_edge(v_node[i], p_node[p], unbounded)
+            net.add_edge(p_node[p], sink, cost[p] * k)
+        return net, arc, net.max_flow(0, sink) == total * k, scale
 
-    lam = total / len(voters)
+    lam = Fraction(total, unit * len(voters))
     while True:
-        net, arc, value = attempt(lam)
-        if value == total:
+        net, arc, feasible, scale = attempt(lam)
+        if feasible:
             break
         reach = net.reachable(0)
         short = [p for p in w if p_node[p] not in reach]
         group = set().union(*(supporters[p] for p in short))
-        better = sum((inst.costs[p] for p in short), Fraction(0)) / len(group)
+        better = Fraction(sum(cost[p] for p in short), unit * len(group))
         if better <= lam:
             raise InvariantError("the min cut did not raise the load cap")
         lam = better
-    loads = {
-        p: {
-            i: net.flow_on(arc[(i, p)])
-            for i in supporters[p]
-            if net.flow_on(arc[(i, p)]) > 0
-        }
-        for p in w
-    }
-    assignment = LoadAssignment(loads=loads, max_load=lam)
-    totals = assignment.voter_totals()
-    if max(totals.values()) != lam:
+    loads = {}
+    totals = dict.fromkeys(voters, 0)
+    for p in w:
+        loads[p] = {}
+        for i in supporters[p]:
+            flow = net.flow_on(arc[(i, p)])
+            if flow > 0:
+                loads[p][i] = Fraction(flow, scale)
+                totals[i] += flow
+    if Fraction(max(totals.values()), scale) != lam:
         raise InvariantError("balanced loads do not reach the optimal cap")
-    return assignment
+    return LoadAssignment(loads=loads, max_load=lam)
 
 
 def run_maximin_support(

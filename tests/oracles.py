@@ -4,11 +4,12 @@ Everything here is written as directly off the definitions as possible:
 no reductions, no early-size arguments, just full enumeration. Only
 usable at desk scale (n, m around 5)."""
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from pbprop import rules
 from pbprop.axioms import is_cohesive
-from pbprop.rules import RuleTrace
+from pbprop.rules import LoadAssignment, RuleTrace
 from pbprop.satisfaction import voter_satisfaction
 
 
@@ -237,6 +238,119 @@ def eager_maximin(inst, tie="lex"):
         trace.voter_loads = {i: Fraction(0) for i in inst.voters}
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
+
+
+# ---------------------------------------------------------------------------
+# Reference load balancing: Edmonds-Karp on Fraction capacities, as it stood
+# before the max-flow moved to integer-scaled capacities.
+
+
+class FractionFlowNetwork:
+    """Directed flow network over integer node ids with Fraction capacities."""
+
+    def __init__(self, n_nodes):
+        self.n = n_nodes
+        self.adj = [[] for _ in range(n_nodes)]
+        self.to = []
+        self.cap = []
+
+    def add_edge(self, u, v, cap):
+        idx = len(self.to)
+        self.adj[u].append(idx)
+        self.to.append(v)
+        self.cap.append(Fraction(cap))
+        self.adj[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(Fraction(0))
+        return idx
+
+    def max_flow(self, s, t):
+        total = Fraction(0)
+        while True:
+            parent_edge = [-1] * self.n
+            parent_edge[s] = -2
+            queue = deque([s])
+            while queue and parent_edge[t] == -1:
+                u = queue.popleft()
+                for idx in self.adj[u]:
+                    v = self.to[idx]
+                    if parent_edge[v] == -1 and self.cap[idx] > 0:
+                        parent_edge[v] = idx
+                        queue.append(v)
+            if parent_edge[t] == -1:
+                return total
+            bottleneck = None
+            v = t
+            while v != s:
+                idx = parent_edge[v]
+                if bottleneck is None or self.cap[idx] < bottleneck:
+                    bottleneck = self.cap[idx]
+                v = self.to[idx ^ 1]
+            v = t
+            while v != s:
+                idx = parent_edge[v]
+                self.cap[idx] -= bottleneck
+                self.cap[idx ^ 1] += bottleneck
+                v = self.to[idx ^ 1]
+            total += bottleneck
+
+    def reachable(self, s):
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for idx in self.adj[u]:
+                v = self.to[idx]
+                if v not in seen and self.cap[idx] > 0:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
+
+    def flow_on(self, idx):
+        return self.cap[idx ^ 1]
+
+
+def fraction_balance_loads(inst, w):
+    """rules.balance_loads with every capacity, flow and load a Fraction."""
+    w = sorted(set(w))
+    if not w:
+        return LoadAssignment(loads={}, max_load=Fraction(0))
+    supporters = {p: inst.approvers(p) for p in w}
+    voters = sorted(set().union(*supporters.values()))
+    v_node = {i: k + 1 for k, i in enumerate(voters)}
+    p_node = {p: len(voters) + 1 + k for k, p in enumerate(w)}
+    sink = len(voters) + len(w) + 1
+    total = sum((inst.costs[p] for p in w), Fraction(0))
+
+    def attempt(lam):
+        net = FractionFlowNetwork(sink + 1)
+        for i in voters:
+            net.add_edge(0, v_node[i], lam)
+        arc = {}
+        for p in w:
+            for i in supporters[p]:
+                arc[(i, p)] = net.add_edge(v_node[i], p_node[p], total + 1)
+            net.add_edge(p_node[p], sink, inst.costs[p])
+        return net, arc, net.max_flow(0, sink)
+
+    lam = total / len(voters)
+    while True:
+        net, arc, value = attempt(lam)
+        if value == total:
+            break
+        reach = net.reachable(0)
+        short = [p for p in w if p_node[p] not in reach]
+        group = set().union(*(supporters[p] for p in short))
+        lam = sum((inst.costs[p] for p in short), Fraction(0)) / len(group)
+    loads = {
+        p: {
+            i: net.flow_on(arc[(i, p)])
+            for i in supporters[p]
+            if net.flow_on(arc[(i, p)]) > 0
+        }
+        for p in w
+    }
+    return LoadAssignment(loads=loads, max_load=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,22 @@ def test_sat_file_must_hold_an_object(capsys, inst_file, tmp_path, selector, ver
     assert err == f"pb: {path} must hold a JSON object\n"
 
 
+@pytest.mark.parametrize("case", ["huge-int", "deep-nesting"])
+@pytest.mark.parametrize("reader", ["outcome", "table", "price-system"])
+def test_cli_json_readers_reject_bad_json_as_parse_error(capsys, inst_file, tmp_path,
+                                                          reader, case):
+    path = tmp_path / "f.json"
+    path.write_text(MALFORMED_JSON[case][0])
+    argv = {
+        "outcome": ["audit", inst_file, str(path)],
+        "table": ["run", "--rule", "mes", "--sat", f"table:{path}", inst_file],
+        "price-system": ["price", "verify", inst_file, "p2", str(path)],
+    }[reader]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("pb: ") and "invalid JSON" in err
+
+
 def test_unknown_sat_selector(capsys, inst_file):
     code, _, _ = run_cli(
         capsys, "run", "--rule", "mes", "--sat", "bogus", inst_file
@@ -435,3 +451,20 @@ def test_baseline_rows_writes_bench_json(tmp_path):
     assert row["row"] == "maximin-100x20" and row["status"] == "ok"
     assert row["wall_s"] > 0 and row["outcome_size"] > 0
     assert len(row["stdout_sha256"]) == 64
+
+
+def test_baseline_rows_imports_its_own_checkout(tmp_path):
+    # run as its docstring shows: no PYTHONPATH, from another directory
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "baseline_rows.py"),
+         "check", "price-8x12", "--out", str(tmp_path)],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [row] = json.loads((tmp_path / "BENCH_check.json").read_text())["rows"]
+    assert row["row"] == "price-8x12" and row["status"] == "ok", row

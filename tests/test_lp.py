@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conftest import make_instance, random_outcome
 from oracles import dense_solve_lp
-from pbprop import pricing
+from pbprop import lp, pricing
 from pbprop.lp import solve_lp
 from pbprop.rules import run_mes
 from pbprop.satisfaction import cardinality_sat
@@ -74,9 +75,10 @@ def test_solve_lp_rejects_ragged_rows():
         solve_lp([1, 2], [[1]], [1])
 
 
-def test_price_lps_match_dense_reference(monkeypatch):
-    """The LPs find_price_system builds, with C6 off and on, solve to the
-    same (status, x, value) as the dense reference."""
+@pytest.fixture(scope="module")
+def price_lps():
+    """The arguments and results of every LP find_price_system builds, with
+    C6 off and on."""
     built = []
 
     def recording(*args):
@@ -84,13 +86,50 @@ def test_price_lps_match_dense_reference(monkeypatch):
         built.append((args, result))
         return result
 
-    monkeypatch.setattr(pricing, "solve_lp", recording)
-    for seed in range(40):
-        inst = make_instance(seed, max_n=5, max_m=6)
-        outcomes = {run_mes(inst, cardinality_sat(inst))[0], random_outcome(inst, seed)}
-        for w in sorted(outcomes, key=sorted):
-            for c6 in (False, True):
-                pricing.find_price_system(inst, w, require_c6=c6)
-    assert len(built) >= 120
-    for args, result in built:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pricing, "solve_lp", recording)
+        for seed in range(40):
+            inst = make_instance(seed, max_n=5, max_m=6)
+            outcomes = {run_mes(inst, cardinality_sat(inst))[0], random_outcome(inst, seed)}
+            for w in sorted(outcomes, key=sorted):
+                for c6 in (False, True):
+                    pricing.find_price_system(inst, w, require_c6=c6)
+    return built
+
+
+def test_price_lps_match_dense_reference(price_lps):
+    """The LPs find_price_system builds solve to the same (status, x, value)
+    as the dense reference."""
+    assert len(price_lps) >= 120
+    for args, result in price_lps:
         assert result == dense_solve_lp(*args)
+
+
+def _record_pivots(monkeypatch, module, name):
+    """Wrap a pivot function to record the (row, column) of every pivot."""
+    seen = []
+    pivot = getattr(module, name)
+
+    def recording(*args):
+        seen.append(args[-2:])
+        pivot(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+def test_pivot_sequences_match_dense_reference(monkeypatch, price_lps):
+    """Bland's path itself, not just the result: the fraction-free simplex
+    pivots on the same (row, column) in the same order as the dense one."""
+    sparse = _record_pivots(monkeypatch, lp, "_pivot")
+    dense = _record_pivots(monkeypatch, oracles, "_dense_pivot")
+    lps = [random_lp(seed) for seed in range(1500)] + [args for args, _ in price_lps]
+    pivots = 0
+    for k, args in enumerate(lps):
+        sparse.clear()
+        dense.clear()
+        solve_lp(*args)
+        dense_solve_lp(*args)
+        assert sparse == dense, k
+        pivots += len(sparse)
+    assert pivots > 3000

@@ -16,11 +16,12 @@ from oracles import (
     eager_mes,
     eager_min_rho,
     eager_phragmen,
+    fraction_balance_loads,
     max_load_oracle,
 )
 from pbprop import rules
 from pbprop.errors import CapabilityError, GuardExceededError
-from pbprop.model import Instance, InstanceError
+from pbprop.model import GenParams, Instance, InstanceError, generate_random
 from pbprop.repro import best_outcome_example, shared_big_project_example
 from pbprop.rules import (
     balance_loads,
@@ -353,6 +354,29 @@ def test_phragmen_matches_eager_reference(cross_check_pool, tie, skip_blocked):
             eager_phragmen(inst, tie=tie, skip_blocked=skip_blocked),
             fields,
         )
+
+
+def test_balance_loads_matches_fraction_flow_oracle():
+    """Integer-scaled flows give the same loads, in the same order, and the
+    same max load as Edmonds-Karp on Fraction capacities."""
+    pool = (
+        [make_instance(seed) for seed in range(60)]
+        + [generate_random(GenParams(n, 7, density=0.4, denominator=den), seed)
+           for den in (2, 3, 7) for seed in range(10) for n in (4, 12)]
+        + [tie_heavy_instance(seed) for seed in range(60)]
+    )
+    checked = 0
+    for k, inst in enumerate(pool):
+        rng = random.Random(k)
+        approved = [p for p in inst.projects if inst.approvers(p)]
+        for size in sorted({1, len(approved) // 2, len(approved)} - {0}):
+            w = rng.sample(approved, size)
+            got, want = balance_loads(inst, w), fraction_balance_loads(inst, w)
+            assert got == want, (k, w)
+            assert [list(per.items()) for per in got.loads.values()] == \
+                [list(per.items()) for per in want.loads.values()]
+            checked += 1
+    assert checked > 300
 
 
 @pytest.mark.parametrize("tie", ["lex", "reverse"])
