@@ -11,6 +11,10 @@ import argparse
 import random
 import sys
 from collections import Counter
+from pathlib import Path
+
+# import pbprop from this checkout's src/, whatever PYTHONPATH says
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pbprop.axioms import AXIOM_CHECKERS, audit_all
 from pbprop.model import GenParams, generate_random

@@ -4,9 +4,10 @@ Subcommands: run (execute a rule), audit (axiom checks), price (price-system
 verify/extract/find), gen (random instances), repro (worked-example suite).
 Machine-readable JSON goes to stdout, a human summary to stderr.
 
-Exit codes: 0 success, 1 parse/IO error, 2 violation/negative verdict,
-3 exponential-search guard exceeded, 64 usage error, 70 internal invariant
-broken (a bug in pbprop, never a property of the input).
+Exit codes: 0 success, 1 parse/IO error, 2 violation/negative verdict or
+unavailable price extraction, 3 exponential-search guard exceeded, 64 usage
+error, 70 internal invariant broken (a bug in pbprop, never a property of
+the input).
 """
 from __future__ import annotations
 
@@ -372,6 +373,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"pb: internal invariant broken: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except pricing.ExtractionUnavailableError as exc:  # no system to report
+        print(f"pb: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (ParseError, InstanceError, OSError) as exc:
         print(f"pb: {exc}", file=sys.stderr)
         return EXIT_IO

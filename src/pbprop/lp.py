@@ -8,43 +8,44 @@ operation followed by division by the row's gcd. The reduced-cost row of
 the current objective, with minus the objective value as its right-hand
 side, is kept as the last row and updated by each pivot like any other
 row. Artificial columns are never stored, since an artificial never
-re-enters the basis once it leaves. Fractions are built only from the
-inputs and for the returned x and value.
+re-enters the basis once it leaves. The input is sparse too, a
+{column: coefficient} dict per row, and Fractions are built only from it
+and for the returned x and value.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvariantError
 
 
 def solve_lp(
-    objective: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
-    b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
+    n: int,
+    objective: Mapping[int, Fraction],
+    ub: Sequence[tuple[Mapping[int, Fraction], Fraction]] = (),
+    eq: Sequence[tuple[Mapping[int, Fraction], Fraction]] = (),
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
-    """Maximize objective.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
+    """Maximize objective.x over x in Q^n subject to row.x <= rhs for each
+    (row, rhs) in ``ub``, row.x = rhs for each in ``eq``, and x >= 0. The
+    objective and every row map a column in 0..n-1 to its coefficient.
 
     Returns (status, x, value) with status one of "optimal", "infeasible",
     "unbounded"; x and value are None unless optimal.
     """
-    n, n_ub = len(objective), len(a_ub)
+    if any(not 0 <= j < n for row, _ in [(objective, 0), *ub, *eq] for j in row):
+        raise ValueError(f"an LP row has a column outside 0..{n - 1}")
+    n_ub = len(ub)
     total = n + n_ub  # structural and slack columns; artificials come after
-    b_all = [*b_ub, *b_eq]
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
     dens: list[int] = []
-    for k, dense in enumerate([*a_ub, *a_eq]):
-        if len(dense) != n:
-            raise ValueError("constraint row length does not match objective")
-        row = {j: v for j, v in enumerate(dense) if v}
+    for k, (sparse, b) in enumerate([*ub, *eq]):
+        row = {j: v for j, v in sparse.items() if v}
         if k < n_ub:
             row[n + k] = 1
-        row[total] = b_all[k]  # the right-hand side, split off below
+        row[total] = b  # the right-hand side, split off below
         row, den = _over_common_denominator(row)
         b = row.pop(total)
         if b < 0:
@@ -66,7 +67,7 @@ def solve_lp(
         if b >= total and rows[r]:
             _pivot(rows, rhs, dens, basis, r, min(rows[r]))
         # else: redundant 0=0 row; the artificial stays basic at zero.
-    cost, cost_den = _over_common_denominator({j: v for j, v in enumerate(objective) if v})
+    cost, cost_den = _over_common_denominator({j: v for j, v in objective.items() if v})
     _append_objective(rows, rhs, dens, basis, cost, cost_den, total)
     status = _run(rows, rhs, dens, basis)
     if status != "optimal":

@@ -7,8 +7,6 @@ found is the rational flow times that constant, computed on Python ints.
 """
 from __future__ import annotations
 
-from collections import deque
-
 
 class FlowNetwork:
     """Directed flow network over integer node ids with int capacities."""
@@ -18,6 +16,7 @@ class FlowNetwork:
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        self.labels: list[int] = []
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add edge u->v; returns its index (reverse edge is index^1)."""
@@ -31,6 +30,9 @@ class FlowNetwork:
         return idx
 
     def max_flow(self, s: int, t: int) -> int:
+        """Push a maximum flow from s to t and return its value. Then
+        ``labels[v] != -1`` exactly for the nodes the last, failed, search
+        reached in the residual graph: the source side of a minimum cut."""
         adj, to, cap = self.adj, self.to, self.cap
         total = 0
         while True:
@@ -49,6 +51,7 @@ class FlowNetwork:
                 if parent_edge[t] != -1:
                     break
             else:
+                self.labels = parent_edge
                 return total
             path = []
             v = t
@@ -61,19 +64,6 @@ class FlowNetwork:
                 cap[idx] -= bottleneck
                 cap[idx ^ 1] += bottleneck
             total += bottleneck
-
-    def reachable(self, s: int) -> set[int]:
-        """Nodes reachable from s in the residual graph (call after max_flow)."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in self.adj[u]:
-                v = self.to[idx]
-                if v not in seen and self.cap[idx] > 0:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
     def flow_on(self, idx: int) -> int:
         """Flow pushed along edge idx (equals residual of the reverse edge)."""

@@ -239,7 +239,7 @@ class Instance:
 
 def _columns(section: str, rows: list[list[str]], names: tuple[str, ...]) -> list[int]:
     """Positions of the named columns in the section's header row."""
-    header = [c.lower() for c in rows[0]] if rows else []
+    header = [c.strip().lower() for c in rows[0]] if rows else []
     missing = [name for name in names if name not in header]
     if missing:
         raise ParseError(f"{section} header lacks column(s) {missing}")
@@ -258,22 +258,23 @@ def parse_pabulib(text: str) -> Instance:
         raise ParseError(f"unreadable .pb rows: {exc}") from exc
     sections: dict[str, list[list[str]]] = {}
     current: list[list[str]] | None = None
-    for raw in rows:
-        row = [f.strip() for f in raw]
-        if not row or row == [""]:
+    for row in rows:  # fields are stripped where read: most rows are VOTES
+        head = row[0].strip().upper() if len(row) == 1 else None
+        if not row or head == "":
             continue
-        if len(row) == 1 and row[0].upper() in ("META", "PROJECTS", "VOTES"):
-            current = sections.setdefault(row[0].upper(), [])
+        if head in ("META", "PROJECTS", "VOTES"):
+            current = sections.setdefault(head, [])
             continue
         if current is None:
-            raise ParseError(f"content before first section header: {';'.join(row)!r}")
+            line = ";".join(f.strip() for f in row)
+            raise ParseError(f"content before first section header: {line!r}")
         current.append(row)
 
     for name in ("META", "PROJECTS", "VOTES"):
         if name not in sections:
             raise ParseError(f"missing section {name}")
 
-    meta_rows = sections["META"]
+    meta_rows = [[f.strip() for f in row] for row in sections["META"]]
     if not meta_rows or [c.lower() for c in meta_rows[0]][:2] != ["key", "value"]:
         raise ParseError("META must start with a 'key;value' header")
     meta = {row[0]: row[1] if len(row) > 1 else "" for row in meta_rows[1:]}
@@ -289,7 +290,7 @@ def parse_pabulib(text: str) -> Instance:
         raise ParseError("num_projects/num_votes must be integers") from exc
     budget = parse_money(meta["budget"])
 
-    proj_rows = sections["PROJECTS"]
+    proj_rows = [[f.strip() for f in row] for row in sections["PROJECTS"]]
     col_id, col_cost = _columns("PROJECTS", proj_rows, ("project_id", "cost"))
     costs: dict[str, Fraction] = {}
     for row in proj_rows[1:]:
@@ -307,7 +308,7 @@ def parse_pabulib(text: str) -> Instance:
     vote_rows = sections["VOTES"]
     _, col_vote = _columns("VOTES", vote_rows, ("voter_id", "vote"))
     approvals: list[frozenset[str]] = []
-    ballots: dict[str, frozenset[str]] = {}  # one set per distinct vote string
+    ballots: dict[str, frozenset[str]] = {}  # one set per distinct raw vote string
     for row in vote_rows[1:]:
         vote = row[col_vote] if len(row) > col_vote else ""
         ballot = ballots.get(vote)
@@ -433,8 +434,10 @@ def generate_random(params: GenParams, seed: int) -> Instance:
     Every voter approves at least one project (ballots are redrawn
     otherwise); all Instance invariants hold by construction.
     """
-    if params.n < 1 or params.m < 1:
-        raise InstanceError("n and m must be at least 1")
+    if params.n < 1 or params.m < 1 or params.denominator < 1:
+        raise InstanceError("n, m and denominator must be at least 1")
+    if not params.density > 0:  # else ballots are redrawn forever
+        raise InstanceError(f"density must be positive, got {params.density}")
     rng = random.Random(seed)
     projects = tuple(f"p{j}" for j in range(1, params.m + 1))
     if params.unit_cost:

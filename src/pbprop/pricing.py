@@ -294,68 +294,32 @@ def _solve_price_lp(
     pinned_budget: Fraction | None = None,
 ):
     """Solve the price-system LP over x = [t, B, d_(i,p)...] >= 0: maximize
-    t subject to B >= lower + t, t <= b + 1, C3-C5 (and C6) as rows, and,
-    when ``pinned_budget`` is given, one last equality row B = pinned_budget."""
+    t subject to B >= lower + t, t <= b + 1, C3-C5 (and C6) and, when
+    ``pinned_budget`` is given, B = pinned_budget last; each condition is a
+    sparse ({column: coefficient}, rhs) pair, as ``solve_lp`` takes it."""
     col = {key: 2 + k for k, key in enumerate(pay_vars)}
-    width = 2 + len(pay_vars)
-
-    def row() -> list[Fraction]:
-        return [Fraction(0)] * width
-
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    r = row()  # t - B <= -lower, i.e. B >= lower + t
-    r[0], r[1] = Fraction(1), Fraction(-1)
-    a_ub.append(r)
-    b_ub.append(-lower)
-    r = row()  # t <= b + 1 keeps the objective bounded
-    r[0] = Fraction(1)
-    a_ub.append(r)
-    b_ub.append(inst.budget + 1)
+    ub = [
+        ({0: 1, 1: -1}, -lower),  # t - B <= -lower, i.e. B >= lower + t
+        ({0: 1}, inst.budget + 1),  # t <= b + 1 keeps the objective bounded
+    ]
     for i in inst.voters:  # C3: sum_p d_i(p) <= B/n
-        mine = [key for key in pay_vars if key[0] == i]
-        if not mine:
-            continue
-        r = row()
-        r[1] = Fraction(-1, inst.n)
-        for key in mine:
-            r[col[key]] = Fraction(1)
-        a_ub.append(r)
-        b_ub.append(Fraction(0))
-    for p in w:  # C4: sum_i d_i(p) = c(p)
-        r = row()
-        for i in inst.approvers(p):
-            r[col[(i, p)]] = Fraction(1)
-        a_eq.append(r)
-        b_eq.append(inst.costs[p])
+        mine = {col[key]: 1 for key in pay_vars if key[0] == i}
+        if mine:
+            ub.append(({1: Fraction(-1, inst.n), **mine}, 0))
+    eq = [({col[(i, p)]: 1 for i in inst.approvers(p)}, inst.costs[p]) for p in w]  # C4
     unchosen = [p for p in inst.projects if p not in w]
     for pj in unchosen:  # C5: |N_j| B/n - sum_{i in N_j} sum_p d_i(p) <= c(p_j)
         group = inst.approvers(pj)
-        if not group:
-            continue
-        r = row()
-        r[1] = Fraction(len(group), inst.n)
-        for i, p in pay_vars:
-            if i in group:
-                r[col[(i, p)]] -= Fraction(1)
-        a_ub.append(r)
-        b_ub.append(inst.costs[pj])
+        if group:
+            row = {col[(i, p)]: -1 for i, p in pay_vars if i in group}
+            ub.append(({1: Fraction(len(group), inst.n), **row}, inst.costs[pj]))
     if require_c6:
         for pj in unchosen:  # C6: sum_{i in N_j} d_i(p_k) <= c(p_j)
             group = inst.approvers(pj)
             for pk in w:
                 payers = group & inst.approvers(pk)
-                if not payers:
-                    continue
-                r = row()
-                for i in payers:
-                    r[col[(i, pk)]] = Fraction(1)
-                a_ub.append(r)
-                b_ub.append(inst.costs[pj])
+                if payers:
+                    ub.append(({col[(i, pk)]: 1 for i in payers}, inst.costs[pj]))
     if pinned_budget is not None:
-        r = row()
-        r[1] = Fraction(1)
-        a_eq.append(r)
-        b_eq.append(pinned_budget)
-    objective = row()
-    objective[0] = Fraction(1)
-    return solve_lp(objective, a_ub, b_ub, a_eq, b_eq)
+        eq.append(({1: 1}, pinned_budget))
+    return solve_lp(2 + len(pay_vars), {0: 1}, ub, eq)

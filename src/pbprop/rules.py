@@ -381,8 +381,7 @@ def balance_loads(inst: Instance, w: Iterable[str]) -> LoadAssignment:
         net, arc, feasible, scale = attempt(lam)
         if feasible:
             break
-        reach = net.reachable(0)
-        short = [p for p in w if p_node[p] not in reach]
+        short = [p for p in w if net.labels[p_node[p]] == -1]  # sink side of the cut
         group = set().union(*(supporters[p] for p in short))
         better = Fraction(sum(cost[p] for p in short), unit * len(group))
         if better <= lam:

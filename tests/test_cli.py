@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import pbprop
-from conftest import FIXTURES, MALFORMED_JSON, MALFORMED_PRICE_SYSTEMS
-from pbprop import rules
+from conftest import (
+    FIXTURES, MALFORMED_JSON, MALFORMED_PRICE_SYSTEMS, make_instance, pabulib_text,
+)
+from pbprop import pricing, rules
 from pbprop.cli import _make_parser, main
 from pbprop.model import Instance, emit_json, parse_json
 
@@ -239,6 +241,36 @@ def test_price_find(capsys, inst_file):
     assert json.loads(out)["found"] is False
 
 
+@pytest.mark.parametrize("rule", ["phragmen", "maximin"])
+def test_price_extract_unavailable_is_negative_verdict(capsys, tmp_path, rule):
+    # every project fits, so the run never blocks on one
+    path = tmp_path / "all.pb"
+    path.write_text(pabulib_text({"a": 1, "b": 1}, 10, [{"a"}, {"b"}]))
+    code, out, err = run_cli(capsys, "price", "extract", "--rule", rule, str(path))
+    assert code == 2 and out == ""
+    assert err == "pb: no blocking project: the run exhausted its candidates\n"
+
+
+def test_price_extract_maximin_repair_failure_is_negative_verdict(
+    capsys, tmp_path, monkeypatch
+):
+    # the balanced loads of this run break a condition, so the extraction
+    # re-splits them with the price LP, which is made to fail here
+    path = tmp_path / "inst.json"
+    path.write_text(emit_json(make_instance(192, max_n=7, max_m=8)))
+    solved = []
+
+    def infeasible(*args):
+        solved.append(args)
+        return "infeasible", None, None
+
+    monkeypatch.setattr(pricing, "solve_lp", infeasible)
+    code, out, err = run_cli(capsys, "price", "extract", "--rule", "maximin", str(path))
+    assert len(solved) == 1
+    assert code == 2 and out == ""
+    assert err.startswith("pb: no condition-respecting payments exist")
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -254,6 +286,26 @@ def test_gen_deterministic(capsys):
     assert out1 == out2
     inst = parse_json(out1)
     assert inst.n == 4 and inst.m == 5
+
+
+@pytest.mark.parametrize("flags", [
+    ["--density", "0"], ["--density", "-0.5"], ["--density", "nan"],
+    ["--denominator", "0"], ["--denominator", "-1"],
+])
+def test_gen_rejects_bad_parameters(flags):
+    # a subprocess, so that a generator that loops forever fails the test
+    src = str(Path(pbprop.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbprop.cli", "gen", "--n", "3", "--m", "3", *flags],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("pb: ") and "Traceback" not in proc.stderr
+    name = flags[0].lstrip("-")
+    assert f"{name} must be" in proc.stderr  # names the bad parameter
 
 
 def test_gen_pipes_into_run(capsys, tmp_path):
@@ -432,6 +484,22 @@ def test_random_audit_sweep_prints_pass_rate_table():
     ]
     assert all(len(row) == 10 and all(cell.endswith("%") for cell in row[2:])
                for row in rows)
+
+
+def test_random_audit_sweep_imports_its_own_checkout(tmp_path):
+    # run as its docstring shows: no PYTHONPATH, from another directory
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "random_audit_sweep.py"),
+         "--count", "3", "--max-n", "4", "--max-m", "4"],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].split()[:3] == ["rule", "sat", "ejr"]
 
 
 def test_baseline_rows_writes_bench_json(tmp_path):

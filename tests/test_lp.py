@@ -39,6 +39,30 @@ def random_lp(seed):
     return objective, a_ub, b_ub, a_eq, b_eq
 
 
+def to_sparse(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """The arguments of solve_lp for a dense LP, zero entries included."""
+    return (
+        len(objective),
+        dict(enumerate(objective)),
+        [(dict(enumerate(row)), b) for row, b in zip(a_ub, b_ub)],
+        [(dict(enumerate(row)), b) for row, b in zip(a_eq, b_eq)],
+    )
+
+
+def to_dense(n, objective, ub=(), eq=()):
+    """The arguments of dense_solve_lp for solve_lp's sparse ones."""
+    def dense(row):
+        return [row.get(j, 0) for j in range(n)]
+
+    return (
+        dense(objective),
+        [dense(row) for row, _ in ub],
+        [b for _, b in ub],
+        [dense(row) for row, _ in eq],
+        [b for _, b in eq],
+    )
+
+
 HAND_MADE = [
     # the second equality repeats the first: its artificial stays basic at 0
     ([1, 1], [], [], [[1, 1], [2, 2]], [1, 2]),
@@ -54,7 +78,7 @@ def test_solve_lp_matches_dense_reference_on_random_lps():
     statuses = Counter()
     for seed in range(1500):
         lp = random_lp(seed)
-        got = solve_lp(*lp)
+        got = solve_lp(*to_sparse(*lp))
         assert got == dense_solve_lp(*lp), seed
         statuses[got[0]] += 1
     assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 50
@@ -62,17 +86,21 @@ def test_solve_lp_matches_dense_reference_on_random_lps():
 
 @pytest.mark.parametrize("lp", HAND_MADE)
 def test_solve_lp_matches_dense_reference_on_hand_made_lps(lp):
-    assert solve_lp(*lp) == dense_solve_lp(*lp)
+    assert solve_lp(*to_sparse(*lp)) == dense_solve_lp(*lp)
 
 
 def test_redundant_equality_keeps_value():
-    status, x, value = solve_lp([1, 1], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])
+    status, x, value = solve_lp(2, {0: 1, 1: 1}, eq=[({0: 1, 1: 1}, 1), ({0: 2, 1: 2}, 2)])
     assert status == "optimal" and value == 1 and sum(x) == 1
 
 
-def test_solve_lp_rejects_ragged_rows():
+def test_solve_lp_rejects_columns_out_of_range():
     with pytest.raises(ValueError):
-        solve_lp([1, 2], [[1]], [1])
+        solve_lp(2, {2: 1})
+    with pytest.raises(ValueError):
+        solve_lp(2, {0: 1}, [({2: 1}, 1)])
+    with pytest.raises(ValueError):
+        solve_lp(2, {0: 1}, eq=[({-1: 1}, 1)])
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +130,7 @@ def test_price_lps_match_dense_reference(price_lps):
     as the dense reference."""
     assert len(price_lps) >= 120
     for args, result in price_lps:
-        assert result == dense_solve_lp(*args)
+        assert result == dense_solve_lp(*to_dense(*args))
 
 
 def _record_pivots(monkeypatch, module, name):
@@ -123,13 +151,14 @@ def test_pivot_sequences_match_dense_reference(monkeypatch, price_lps):
     pivots on the same (row, column) in the same order as the dense one."""
     sparse = _record_pivots(monkeypatch, lp, "_pivot")
     dense = _record_pivots(monkeypatch, oracles, "_dense_pivot")
-    lps = [random_lp(seed) for seed in range(1500)] + [args for args, _ in price_lps]
+    lps = [(to_sparse(*lp), lp) for lp in map(random_lp, range(1500))]
+    lps += [(args, to_dense(*args)) for args, _ in price_lps]
     pivots = 0
-    for k, args in enumerate(lps):
+    for k, (sparse_args, dense_args) in enumerate(lps):
         sparse.clear()
         dense.clear()
-        solve_lp(*args)
-        dense_solve_lp(*args)
+        solve_lp(*sparse_args)
+        dense_solve_lp(*dense_args)
         assert sparse == dense, k
         pivots += len(sparse)
     assert pivots > 3000

@@ -1,4 +1,5 @@
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,32 @@ def test_parse_pabulib_errors(mangle, fragment):
         parse_pabulib(mangle(PB_TEXT))
 
 
+def _padded(text):
+    """Spaces and tabs around every field and header, and whitespace-only
+    rows between them."""
+    return "\n \t\n".join(";".join(f" {f}\t" for f in line.split(";"))
+                            for line in text.splitlines()) + "\n"
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda s: "junk ; more\n" + s, "content before first section header: 'junk;more'"),
+        (lambda s: s.replace("p2;1\n", "p2\n"), "malformed PROJECTS row ['p2']"),
+        (lambda s: s.replace("p2;1\n", "p2; x\n"), "not a rational number: 'x'"),
+        (lambda s: s.replace("p2;1\n", "p1;1\n"), "duplicate project id 'p1'"),
+        (lambda s: s.replace("1;p1,p2", "1; p1 , p9 "), "vote references unknown projects ['p9']"),
+    ],
+)
+def test_parse_pabulib_reads_stripped_fields(mangle, message):
+    # whitespace around a field never reaches an instance or a message
+    assert parse_pabulib(_padded(PB_TEXT)) == parse_pabulib(PB_TEXT)
+    for text in (mangle(PB_TEXT), _padded(mangle(PB_TEXT))):
+        with pytest.raises(ParseError) as err:
+            parse_pabulib(text)
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "name, costs, approvals, budget",
     [
@@ -193,6 +220,30 @@ def test_generator_deterministic_and_valid():
     assert generate_random(params, 43) != a
     assert all(ballot for ballot in a.approvals)  # nobody abstains entirely
     assert Fraction(3) <= a.budget <= Fraction(12)  # default [m/2, 2m]
+
+
+def _no_return(signum, frame):
+    raise TimeoutError("generate_random did not return")
+
+
+@pytest.mark.parametrize("params, fragment", [
+    (GenParams(n=3, m=3, density=0), "density must be positive"),
+    (GenParams(n=3, m=3, density=-0.5), "density must be positive"),
+    (GenParams(n=3, m=3, density=float("nan")), "density must be positive"),
+    (GenParams(n=3, m=3, denominator=0), "denominator must be at least 1"),
+    (GenParams(n=3, m=3, denominator=-1), "denominator must be at least 1"),
+    (GenParams(n=3, m=3, unit_cost=True, denominator=0), "denominator must be at least 1"),
+])
+def test_generator_rejects_bad_parameters(params, fragment):
+    # an alarm, so that a generator that loops forever fails the test
+    previous = signal.signal(signal.SIGALRM, _no_return)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InstanceError, match=fragment):
+            generate_random(params, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_generator_unit_cost():

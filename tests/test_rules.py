@@ -446,7 +446,9 @@ def underpriced(heap, stale, evaluate):
 
 
 def no_flow(net, s, t):
-    return Fraction(0)
+    net.labels = [-1] * net.n  # only the source is reached
+    net.labels[s] = -2
+    return 0
 
 
 def broken_checks():
@@ -455,10 +457,9 @@ def broken_checks():
     yield "phragmen", lambda: rules.run_seq_phragmen(inst)
     rules._pop_ties = pop_ties
     FlowNetwork.max_flow = no_flow
-    FlowNetwork.reachable = lambda net, s: {s}
     yield "balance_loads", lambda: rules.balance_loads(inst, {"a"})
     lp._run = lambda *args: ("unbounded", None)
-    yield "lp", lambda: lp.solve_lp([Fraction(1)], [[Fraction(1)]], [Fraction(1)])
+    yield "lp", lambda: lp.solve_lp(1, {0: Fraction(1)}, [({0: Fraction(1)}, Fraction(1))])
 
 
 for name, call in broken_checks():
