@@ -59,10 +59,14 @@ def is_cohesive(inst: Instance, t: Iterable[str], group: Iterable[int]) -> bool:
 
 
 def _guard(inst: Instance, max_m: int, max_n: int) -> None:
+    """Refuse instances past the size limits. The message estimates the
+    work: at most 2^m demand sets, each checked per distinct ballot."""
     if inst.m > max_m or inst.n > max_n:
+        ballots = len(inst.ballot_types())
         raise GuardExceededError(
-            f"instance size ({inst.n} voters in {len(inst.ballot_types())} distinct "
-            f"ballots, {inst.m} projects) exceeds guard ({max_n} voters, {max_m} projects)"
+            f"instance size ({inst.n} voters in {ballots} distinct ballots, {inst.m} "
+            f"projects, up to 2^{inst.m} demand sets x {ballots} ballots) exceeds guard "
+            f"({max_n} voters, {max_m} projects)"
         )
 
 

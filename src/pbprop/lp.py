@@ -108,7 +108,8 @@ def _append_objective(rows, rhs, dens, basis, cost, cost_den, total) -> None:
 
 def _pivot(rows, rhs, dens, basis, r, c) -> None:
     """Divide row r by its entry in column c, then eliminate column c from
-    every other row, all with integer row operations."""
+    every other row, all with integer row operations. Each eliminated row is
+    built once, already divided by its gcd."""
     if rows[r][c] < 0:
         rows[r] = {j: -v for j, v in rows[r].items()}
         rhs[r] = -rhs[r]
@@ -119,21 +120,25 @@ def _pivot(rows, rhs, dens, basis, r, c) -> None:
         f = row.get(c)
         if f is None or k == r:
             continue
-        # row / den_k - (f / den_k) * (pivot_row / d), over den_k * d
+        # row / den_k - (f / den_k) * (pivot_row / d), over den_k * scale
         g = gcd(f, d)
         scale, f = d // g, f // g
-        if scale != 1:
-            row = rows[k] = {j: v * scale for j, v in row.items()}
-            rhs[k] *= scale
-            dens[k] *= scale
+        # eliminate into row, whose entries off the pivot row stay unscaled
         for j, v in pivot_row.items():
-            new = row.get(j, 0) - f * v
+            new = row.get(j, 0) * scale - f * v
             if new:
                 row[j] = new
             else:
                 del row[j]
-        rhs[k] -= f * pivot_rhs
-        _reduce(rows, rhs, dens, k)
+        b = rhs[k] * scale - f * pivot_rhs
+        # The pivot row is reduced and gcd(scale, f) = 1, so no prime factor
+        # of scale divides the new row's gcd: the unscaled entries give it.
+        g = gcd(dens[k], b, *row.values())
+        if g != 1 or scale != 1:
+            rows[k] = {j: v // g if j in pivot_row else v // g * scale
+                       for j, v in row.items()}
+        rhs[k] = b // g
+        dens[k] = dens[k] // g * scale
     basis[r] = c
 
 

@@ -11,7 +11,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .axioms import _guard, demand_sets
@@ -75,19 +75,23 @@ def _additive_value(mu: SatisfactionFunction, p: str) -> Fraction:
 
 
 def _ladder_rho(
-    ladder: list[tuple[Fraction, int]], cost: Fraction, unit: Fraction
+    ladder: list[tuple[int, int]], den: int, cost: Fraction, unit: Fraction
 ) -> Fraction | None:
     """Walk the supporters' budget levels, (budget, voter count) pairs in
-    increasing budget order. Voters below the current level pay their whole
-    budget and the rest split what is left equally; the first level that
-    covers its equal share gives rho. If no level does, the supporters hold
-    less money than the cost."""
+    increasing budget order with each budget an integer numerator over
+    ``den``. Voters below the current level pay their whole budget and the
+    rest split what is left equally; the first level that covers its equal
+    share gives rho. If no level does, the supporters hold less money than
+    the cost. Money is counted in units of 1/(den * cost.denominator), so
+    the walk compares ints and only rho is built as a Fraction."""
+    cost_den = cost.denominator
+    rest = cost.numerator * den
     left = sum(count for _, count in ladder)
     for budget, count in ladder:
-        share = cost / left
-        if share <= budget:
-            return share / unit
-        cost -= budget * count
+        budget *= cost_den
+        if rest <= budget * left:
+            return Fraction(rest * unit.denominator, left * den * cost_den * unit.numerator)
+        rest -= budget * count
         left -= count
     return None
 
@@ -99,8 +103,10 @@ def min_rho(
     i.e. the supporters' capped payments min(b_i, rho*mu(p)) sum to c(p).
     Returns None when the supporters cannot afford p at any rho."""
     unit = _additive_value(mu, p)
-    ladder = sorted(Counter(budgets[i] for i in inst.approvers(p)).items())
-    return _ladder_rho(ladder, inst.costs[p], unit)
+    held = [budgets[i] for i in inst.approvers(p)]
+    den = lcm(*(b.denominator for b in held))
+    ladder = sorted(Counter(b.numerator * (den // b.denominator) for b in held).items())
+    return _ladder_rho(ladder, den, inst.costs[p], unit)
 
 
 class _VoterClasses:
@@ -114,10 +120,15 @@ class _VoterClasses:
     of p's supporters in it, for every live candidate p. A rule then
     evaluates a project on its few classes instead of its many voters.
     Candidates whose counts change are added to ``stale``.
+
+    The rules compute on ``scaled[c] == value[c] * den``, ints over one
+    common denominator that grows to the lcm with each new value's.
     """
 
     def __init__(self, inst: Instance, candidates: Iterable[str], start: Fraction):
         self.value = [start]
+        self.den = start.denominator
+        self.scaled = [start.numerator]
         self._ids = {start: 0}
         types = inst.ballot_types()
         self.ballots = list(types)
@@ -132,17 +143,17 @@ class _VoterClasses:
 
     def total(self, p: str) -> Fraction:
         """Sum of the values of p's supporters."""
-        per: Counter[int] = Counter()
-        for t in self.holding[p]:
-            per[self.of[t]] += len(self.holders[t])
-        return sum((self.value[c] * k for c, k in per.items()), Fraction(0))
+        scaled, of, holders = self.scaled, self.of, self.holders
+        held = sum(scaled[of[t]] * len(holders[t]) for t in self.holding[p])
+        return Fraction(held, self.den)
 
     def spread(self, p: str, amount: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Each supporter of p mapped to ``amount`` of its class, zeros left out."""
+        """Each supporter of p mapped to ``amount`` of its class, if the class
+        has one."""
         out: dict[int, Fraction] = {}
         for t in self.holding[p]:
-            a = amount[self.of[t]]
-            if a > 0:
+            a = amount.get(self.of[t])
+            if a is not None:
                 out.update(dict.fromkeys(self.holders[t], a))
         return out
 
@@ -156,10 +167,16 @@ class _VoterClasses:
         ``new_value[c]``, which is created if no class holds that value."""
         target = {}
         for c, v in new_value.items():
-            if v not in self._ids:
-                self._ids[v] = len(self.value)
+            i = self._ids.get(v)  # hashing a Fraction is not cheap: once
+            if i is None:
+                grow = v.denominator // gcd(self.den, v.denominator)
+                if grow != 1:
+                    self.den *= grow
+                    self.scaled = [s * grow for s in self.scaled]
+                i = self._ids[v] = len(self.value)
                 self.value.append(v)
-            target[c] = self._ids[v]
+                self.scaled.append(v.numerator * (self.den // v.denominator))
+            target[c] = i
         for t in self.holding[p]:
             old = self.of[t]
             new = target[old]
@@ -261,21 +278,30 @@ def run_mes(
     budget, counts = classes.value, classes.counts
 
     def rho(p: str) -> Fraction | None:
-        ladder = sorted((budget[c], k) for c, k in counts[p].items())
-        value = _ladder_rho(ladder, inst.costs[p], units[p])
+        scaled = classes.scaled
+        ladder = sorted((scaled[c], k) for c, k in counts[p].items())
+        value = _ladder_rho(ladder, classes.den, inst.costs[p], units[p])
         if value is None:
             del counts[p]  # budgets only fall: p stays unaffordable
         return value
 
     trace = RuleTrace(rule="mes", mu_kind=mu.kind)
+    zero = Fraction(0)
     for p, best in _select(inst, candidates, rho, classes.stale, tie, trace):
         price = best * units[p]
         per = counts.pop(p)
-        pay = {c: min(budget[c], price) for c in per}
-        if sum((pay[c] * k for c, k in per.items()), Fraction(0)) != inst.costs[p]:
+        scaled, den, cost = classes.scaled, classes.den, inst.costs[p]
+        # charges in units of 1/(den * price.denominator); a class holding
+        # less than the price pays all it holds
+        cap = price.numerator * den
+        charged = {c: min(scaled[c] * price.denominator, cap) for c in per}
+        paid = sum(charged[c] * k for c, k in per.items())
+        if paid * cost.denominator != cost.numerator * den * price.denominator:
             raise InvariantError(f"MES charges for {p!r} do not sum to its cost")
+        pay = {c: price if a == cap else budget[c] for c, a in charged.items() if a}
         trace.payments[p] = classes.spread(p, pay)
-        classes.move(p, {c: budget[c] - pay[c] for c in per})
+        classes.move(p, {c: budget[c] - price if a == cap else zero
+                         for c, a in charged.items()})
     outcome = frozenset(p for _, p, _ in trace.selections)
     trace.voter_budgets = classes.per_voter()
     unselected = [p for p in inst.projects if p not in outcome]
@@ -312,15 +338,22 @@ def run_seq_phragmen(
     load, counts = classes.value, classes.counts
 
     def t(p: str) -> Fraction:
-        paid = sum((load[c] * k for c, k in counts[p].items()), Fraction(0))
-        return (inst.costs[p] + paid) / size[p]
+        scaled, den, cost = classes.scaled, classes.den, inst.costs[p]
+        paid = sum(scaled[c] * k for c, k in counts[p].items())
+        return Fraction(cost.numerator * den + paid * cost.denominator,
+                        size[p] * den * cost.denominator)
 
     trace = RuleTrace(rule="phragmen")
     for p, t_min in _select(inst, pool, t, classes.stale, tie, trace, skip_blocked):
         per = counts.pop(p)
-        charge = {c: t_min - load[c] for c in per}
-        if sum((charge[c] * k for c, k in per.items()), Fraction(0)) != inst.costs[p]:
+        scaled, den, cost = classes.scaled, classes.den, inst.costs[p]
+        # charges in units of 1/(den * t_min.denominator)
+        level = t_min.numerator * den
+        charged = {c: level - scaled[c] * t_min.denominator for c in per}
+        paid = sum(charged[c] * k for c, k in per.items())
+        if paid * cost.denominator != cost.numerator * den * t_min.denominator:
             raise InvariantError(f"Phragmen charges for {p!r} do not sum to its cost")
+        charge = {c: t_min - load[c] for c, a in charged.items() if a > 0}
         trace.payments[p] = classes.spread(p, charge)
         classes.move(p, dict.fromkeys(per, t_min))
     outcome = frozenset(p for _, p, _ in trace.selections)

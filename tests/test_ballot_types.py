@@ -211,8 +211,8 @@ def _over_guard():
     return Instance.create(dict.fromkeys(projects, 1), ballots, 5)
 
 
-GUARD_TEXT = ("instance size (13 voters in 9 distinct ballots, 15 projects) "
-              "exceeds guard ({n} voters, {m} projects)")
+GUARD_TEXT = ("instance size (13 voters in 9 distinct ballots, 15 projects, "
+              "up to 2^15 demand sets x 9 ballots) exceeds guard ({n} voters, {m} projects)")
 
 
 def test_guard_message_names_ballots_and_limits():

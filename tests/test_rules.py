@@ -32,6 +32,7 @@ from pbprop.rules import (
     run_seq_phragmen,
 )
 from pbprop.satisfaction import BUILTINS, cardinality_sat, cc_sat, cost_sat, table_sat
+from test_ballot_types import clustered_instance
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +83,10 @@ def test_min_rho_capability_errors(shared_big_project):
 @settings(max_examples=60, deadline=None)
 @given(
     cost=st.integers(1, 12),
-    unit=st.fractions(min_value=Fraction(1, 4), max_value=4),
-    budgets=st.lists(st.fractions(min_value=0, max_value=5, max_denominator=6),
+    # units over 31, 37 or 41 share no factor with any budget denominator
+    unit=st.one_of(st.fractions(min_value=Fraction(1, 4), max_value=4),
+                   st.builds(Fraction, st.integers(8, 160), st.sampled_from((31, 37, 41)))),
+    budgets=st.lists(st.fractions(min_value=0, max_value=5, max_denominator=30),
                      min_size=1, max_size=7),
 )
 def test_min_rho_matches_voter_by_voter_walk(cost, unit, budgets):
@@ -354,6 +357,80 @@ def test_phragmen_matches_eager_reference(cross_check_pool, tie, skip_blocked):
             eager_phragmen(inst, tie=tie, skip_blocked=skip_blocked),
             fields,
         )
+
+
+def growth_instance(seed):
+    """Costs over 7, 11 or 13, a budget share with an odd denominator and
+    table units like 3/7: the rules' common denominator of the class values
+    must grow in many rounds."""
+    rng = random.Random(seed)
+    projects = [f"p{j}" for j in range(rng.randint(3, 9))]
+    costs = {p: Fraction(rng.randint(5, 60), rng.choice((7, 11, 13))) for p in projects}
+    bundles = [rng.sample(projects, rng.randint(1, len(projects)))
+               for _ in range(rng.randint(2, 6))]
+    ballots = [rng.choice(bundles) for _ in range(rng.choice((3, 5, 7, 9, 11, 13)))]
+    den = rng.choice((3, 5, 9))
+    total = sum(costs.values())
+    budget = Fraction(rng.randint(int(total * den * 3 / 10), int(total * den * 8 / 10)), den)
+    inst = Instance.create(costs, ballots, budget)
+    units = {p: Fraction(rng.randint(1, 9), rng.choice((1, 7, 11, 13))) for p in projects}
+    return inst, table_sat(units)
+
+
+@pytest.fixture(scope="module")
+def growth_pool():
+    pool = [growth_instance(seed) for seed in range(40)]
+    assert all((inst.budget / inst.n).denominator % 2 for inst, _ in pool)
+    for seed in range(12):
+        inst = clustered_instance(seed)
+        units = {p: Fraction(3 + k, (7, 11, 13)[k % 3]) for k, p in enumerate(inst.projects)}
+        pool.append((inst, table_sat(units)))
+    return pool
+
+
+@pytest.fixture
+def checked_classes(monkeypatch):
+    """After every move, each class's scaled int over the common denominator
+    must equal its value. Records, per move, whether the denominator grew."""
+    grew = []
+    move = rules._VoterClasses.move
+
+    def checked(classes, p, new_value):
+        den = classes.den
+        move(classes, p, new_value)
+        for c, v in enumerate(classes.value):
+            assert Fraction(classes.scaled[c], classes.den) == v, (p, c)
+        grew.append(classes.den != den)
+
+    monkeypatch.setattr(rules._VoterClasses, "move", checked)
+    return grew
+
+
+@pytest.mark.parametrize("tie", ["lex", "reverse"])
+@pytest.mark.parametrize("sat", ["cost", "card", "sqrt", "log", "share", "table"])
+def test_mes_matches_eager_as_the_denominator_grows(growth_pool, checked_classes,
+                                                     sat, tie):
+    fields = ("selections", "payments", "voter_budgets", "delta", "exhaustive",
+              "mu_kind")
+    for inst, table in growth_pool:
+        mu = table if sat == "table" else BUILTINS[sat](inst)
+        _same_run(run_mes(inst, mu, tie=tie), eager_mes(inst, mu, tie=tie), fields)
+    assert sum(checked_classes) > 80  # moves that grew the denominator
+
+
+@pytest.mark.parametrize("skip_blocked", [False, True])
+@pytest.mark.parametrize("tie", ["lex", "reverse"])
+def test_phragmen_matches_eager_as_the_denominator_grows(growth_pool, checked_classes,
+                                                         tie, skip_blocked):
+    fields = ("selections", "payments", "voter_loads", "blocking", "skipped",
+              "exhaustive")
+    for inst, _ in growth_pool:
+        _same_run(
+            run_seq_phragmen(inst, tie=tie, skip_blocked=skip_blocked),
+            eager_phragmen(inst, tie=tie, skip_blocked=skip_blocked),
+            fields,
+        )
+    assert sum(checked_classes) > 80  # moves that grew the denominator
 
 
 def test_balance_loads_matches_fraction_flow_oracle():
