@@ -44,6 +44,15 @@ ROWS = {
 }
 
 
+def trace_sha256(trace) -> str:
+    """SHA-256 of every field of a rule trace in its own order, amounts as
+    exact "p/q" strings."""
+    def plain(obj):  # a Fraction, or the LoadAssignment of a maximin block
+        return str(obj) if isinstance(obj, Fraction) else vars(obj)
+
+    return hashlib.sha256(json.dumps(vars(trace), default=plain).encode()).hexdigest()
+
+
 def run_row(name: str) -> None:
     """Child side: run one row, print its result on stdout and the seconds
     of the timed call on stderr. It imports pbprop from this checkout's
@@ -74,7 +83,8 @@ def run_row(name: str) -> None:
         outcome, trace = call()
         wall = perf_counter() - start
         result = {"outcome": sorted(outcome),
-                  "selections": [[r, p, str(v)] for r, p, v in trace.selections]}
+                  "selections": [[r, p, str(v)] for r, p, v in trace.selections],
+                  "trace_sha256": trace_sha256(trace)}
     print(json.dumps(result))
     print(wall, file=sys.stderr)
 

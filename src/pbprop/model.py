@@ -338,11 +338,21 @@ def parse_pabulib(text: str) -> Instance:
 # JSON round trip
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for j, k in enumerate(keys) if k in keys[:j])
+        raise ParseError(f"key {repeated!r} repeated in one object")
+    return obj
+
+
 def load_json(text: str):
-    """``json.loads`` for every JSON file pbprop reads: malformed text,
-    integers past the digit limit and deep nesting are all ``ParseError``."""
+    """``json.loads`` for every JSON file pbprop reads: malformed text, a
+    key repeated in one object, integers past the digit limit and deep
+    nesting are all ``ParseError``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # ValueError: too many digits
         raise ParseError(f"invalid JSON: {exc}") from exc
 

@@ -68,13 +68,13 @@ class PriceSystem:
         """Parse ``to_json`` output; anything else raises ``ParseError``."""
         try:
             data = load_json(text)
-            return cls(
-                budget=parse_money(data["B"]),
-                payments={
-                    int(i): {p: parse_money(v) for p, v in per.items()}
-                    for i, per in data["payments"].items()
-                },
-            )
+            payments = {}
+            for key, per in data["payments"].items():
+                i = int(key)
+                if str(i) != key:  # "02" or " 2" would name voter 2 twice
+                    raise ValueError(f"voter key {key!r} is not a plain integer")
+                payments[i] = {p: parse_money(v) for p, v in per.items()}
+            return cls(budget=parse_money(data["B"]), payments=payments)
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ParseError(f"malformed price system: {exc!r}") from exc
 
@@ -99,14 +99,9 @@ def verify_price_system(
     """Re-evaluate all six conditions exactly against a candidate system."""
     w = frozenset(outcome)
     inst.total_cost(w)  # validates project ids (and implicitly feasibility data)
-    for i, per in ps.payments.items():
+    for i in ps.payments:
         if not 1 <= i <= inst.n:
             raise InstanceError(f"payment from unknown voter {i}")
-        for p, amount in per.items():
-            if p not in inst.costs:
-                raise InstanceError(f"payment on unknown project {p!r}")
-            if amount < 0:
-                raise InstanceError(f"negative payment by voter {i} on {p!r}")
     verdicts: dict[str, tuple[bool, tuple | None]] = {}
 
     def fail_first(name: str, witness) -> None:
@@ -116,7 +111,8 @@ def verify_price_system(
     # Holders of one ballot type with equal payment rows pass or fail every
     # condition together, so each class of them is checked once, as its
     # lowest voter, in ascending order of that voter: the first witness of
-    # each condition is then the per-voter one. A holder whose row differs
+    # each condition is then the per-voter one. The same pass refuses rows
+    # with unknown projects or negative amounts. A holder whose row differs
     # from the previous holder's starts a new class, so grouping stays
     # linear; equal rows split into two classes are merely checked twice.
     # Rows are compared, not hashed: hashing a Fraction is slow.
@@ -136,10 +132,15 @@ def verify_price_system(
     paid: dict[str, Fraction] = {}
     for i, ballot, row, k in classes:
         for p, amount in row.items():
-            if amount > 0 and p not in ballot:
-                fail_first("C1", (i, p))
-            if amount > 0 and p not in w:
-                fail_first("C2", (i, p))
+            if p not in inst.costs:
+                raise InstanceError(f"payment on unknown project {p!r}")
+            if amount > 0:
+                if p not in ballot:
+                    fail_first("C1", (i, p))
+                if p not in w:
+                    fail_first("C2", (i, p))
+            elif amount < 0:
+                raise InstanceError(f"negative payment by voter {i} on {p!r}")
             paid[p] = paid.get(p, Fraction(0)) + k * amount
         left.append(share - sum(row.values(), Fraction(0)))
         if left[-1] < 0:

@@ -116,16 +116,16 @@ class _VoterClasses:
     Holders of one ballot type approve the same projects, so every selection
     moves them together and they always share a value. ``value[c]`` is class
     c's value and ``of[t]`` the class of ballot type t, an index into the
-    instance's ``ballot_types``; ``counts[p]`` maps each class to the number
-    of p's supporters in it, for every live candidate p. A rule then
-    evaluates a project on its few classes instead of its many voters.
-    Candidates whose counts change are added to ``stale``.
+    instance's ``ballot_types``. A rule evaluates a project on the few
+    classes its supporters fall in, counted from ``holding`` when it is
+    evaluated, instead of on its many voters. Projects whose supporters
+    move are added to ``stale``.
 
     The rules compute on ``scaled[c] == value[c] * den``, ints over one
     common denominator that grows to the lcm with each new value's.
     """
 
-    def __init__(self, inst: Instance, candidates: Iterable[str], start: Fraction):
+    def __init__(self, inst: Instance, start: Fraction):
         self.value = [start]
         self.den = start.denominator
         self.scaled = [start.numerator]
@@ -138,14 +138,21 @@ class _VoterClasses:
         for t, ballot in enumerate(self.ballots):
             for p in ballot:
                 self.holding[p].append(t)
-        self.counts = {p: {0: len(inst.approvers(p))} for p in candidates}
         self.stale: set[str] = set()
 
-    def total(self, p: str) -> Fraction:
-        """Sum of the values of p's supporters."""
+    def histogram(self, p: str) -> dict[int, int]:
+        """Each class that holds supporters of p, mapped to their number."""
+        of, holders = self.of, self.holders
+        per: dict[int, int] = {}
+        for t in self.holding[p]:
+            c = of[t]
+            per[c] = per.get(c, 0) + len(holders[t])
+        return per
+
+    def held(self, p: str) -> int:
+        """Sum of the values of p's supporters, times ``den``."""
         scaled, of, holders = self.scaled, self.of, self.holders
-        held = sum(scaled[of[t]] * len(holders[t]) for t in self.holding[p])
-        return Fraction(held, self.den)
+        return sum(scaled[of[t]] * len(holders[t]) for t in self.holding[p])
 
     def spread(self, p: str, amount: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """Each supporter of p mapped to ``amount`` of its class, if the class
@@ -177,23 +184,12 @@ class _VoterClasses:
                 self.value.append(v)
                 self.scaled.append(v.numerator * (self.den // v.denominator))
             target[c] = i
+        of = self.of
         for t in self.holding[p]:
-            old = self.of[t]
-            new = target[old]
-            if new == old:
-                continue
-            self.of[t] = new
-            k = len(self.holders[t])
-            for q in self.ballots[t]:
-                per = self.counts.get(q)
-                if per is None:
-                    continue
-                if per[old] == k:
-                    del per[old]
-                else:
-                    per[old] -= k
-                per[new] = per.get(new, 0) + k
-                self.stale.add(q)
+            new = target[of[t]]
+            if new != of[t]:
+                of[t] = new
+                self.stale.update(self.ballots[t])
 
 
 def _pop_ties(
@@ -274,22 +270,19 @@ def run_mes(
         raise CapabilityError("MES requires an additive satisfaction function")
     candidates = [p for p in inst.projects if inst.approvers(p)]
     units = {p: _additive_value(mu, p) for p in candidates}
-    classes = _VoterClasses(inst, candidates, inst.budget / inst.n)
-    budget, counts = classes.value, classes.counts
+    classes = _VoterClasses(inst, inst.budget / inst.n)
+    budget = classes.value
 
     def rho(p: str) -> Fraction | None:
         scaled = classes.scaled
-        ladder = sorted((scaled[c], k) for c, k in counts[p].items())
-        value = _ladder_rho(ladder, classes.den, inst.costs[p], units[p])
-        if value is None:
-            del counts[p]  # budgets only fall: p stays unaffordable
-        return value
+        ladder = sorted((scaled[c], k) for c, k in classes.histogram(p).items())
+        return _ladder_rho(ladder, classes.den, inst.costs[p], units[p])
 
     trace = RuleTrace(rule="mes", mu_kind=mu.kind)
     zero = Fraction(0)
     for p, best in _select(inst, candidates, rho, classes.stale, tie, trace):
         price = best * units[p]
-        per = counts.pop(p)
+        per = classes.histogram(p)
         scaled, den, cost = classes.scaled, classes.den, inst.costs[p]
         # charges in units of 1/(den * price.denominator); a class holding
         # less than the price pays all it holds
@@ -306,7 +299,8 @@ def run_mes(
     trace.voter_budgets = classes.per_voter()
     unselected = [p for p in inst.projects if p not in outcome]
     if unselected:
-        trace.delta = min(inst.costs[p] - classes.total(p) for p in unselected)
+        trace.delta = min(inst.costs[p] - Fraction(classes.held(p), classes.den)
+                          for p in unselected)
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
 
@@ -334,18 +328,17 @@ def run_seq_phragmen(
     # trigger the blocking break for the price-extraction bound to hold.
     pool = [p for p in inst.projects if inst.approvers(p)]
     size = {p: len(inst.approvers(p)) for p in pool}
-    classes = _VoterClasses(inst, pool, Fraction(0))
-    load, counts = classes.value, classes.counts
+    classes = _VoterClasses(inst, Fraction(0))
+    load = classes.value
 
     def t(p: str) -> Fraction:
-        scaled, den, cost = classes.scaled, classes.den, inst.costs[p]
-        paid = sum(scaled[c] * k for c, k in counts[p].items())
-        return Fraction(cost.numerator * den + paid * cost.denominator,
+        den, cost = classes.den, inst.costs[p]
+        return Fraction(cost.numerator * den + classes.held(p) * cost.denominator,
                         size[p] * den * cost.denominator)
 
     trace = RuleTrace(rule="phragmen")
     for p, t_min in _select(inst, pool, t, classes.stale, tie, trace, skip_blocked):
-        per = counts.pop(p)
+        per = classes.histogram(p)
         scaled, den, cost = classes.scaled, classes.den, inst.costs[p]
         # charges in units of 1/(den * t_min.denominator)
         level = t_min.numerator * den

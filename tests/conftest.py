@@ -68,6 +68,9 @@ MALFORMED_JSON = {
     "mixed-ids": ('{"n": 2, "budget": "2", "projects": [{"id": "a", "cost": "1"},'
                   ' {"id": 1, "cost": "1"}], "approvals": [["a"], [1]]}',
                   "project id must be a string, not 1"),
+    "repeated-key": ('{"n": 1, "budget": "2", "budget": "9", "projects":'
+                     ' [{"id": "a", "cost": "1"}], "approvals": [["a"]]}',
+                     "invalid JSON: key 'budget' repeated in one object"),
     "huge-int": ('{"n": ' + "9" * 5000 + "}", "invalid JSON"),
     "deep-nesting": ("[" * 100_000, "invalid JSON"),
 }
@@ -80,6 +83,11 @@ MALFORMED_PRICE_SYSTEMS = {
     "voter-key": '{"B": "3", "payments": {"x": {"p1": "1"}}}',
     "bool-budget": '{"B": true, "payments": {"1": {"p1": "1"}}}',
     "bool-payment": '{"B": "3", "payments": {"1": {"p1": true}}}',
+    # voter keys must be written as str(int) does, so one voter has one key
+    "voter-key-zero-padded": '{"B": "3", "payments": {"1": {"p1": "1"}, "01": {"p1": "1"}}}',
+    "voter-key-spaced": '{"B": "3", "payments": {" 1": {"p1": "1"}}}',
+    "voter-key-underscore": '{"B": "3", "payments": {"1_0": {"p1": "1"}}}',
+    "voter-key-repeated": '{"B": "3", "payments": {"1": {"p1": "1"}, "1": {"p1": "2"}}}',
 }
 
 FIXTURES = Path(__file__).parent / "fixtures"

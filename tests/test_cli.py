@@ -228,6 +228,21 @@ def test_price_verify_malformed_system_is_parse_error(capsys, inst_file, tmp_pat
     assert err.startswith("pb: malformed price system")
 
 
+def test_price_verify_refuses_two_keys_for_one_voter(capsys, tmp_path):
+    # read as int keys, "2" and "02" would merge into one voter 2 paying 1/2,
+    # and 3/2 of listed payments would pass as a system with B = 3/2
+    inst = tmp_path / "inst.json"
+    inst.write_text(emit_json(Instance.create({"a": 1}, [{"a"}, {"a"}], 1)))
+    system = tmp_path / "ps.json"
+    payments = '{"1": {"a": "1/2"}, "2": {"a": "1/2"}, "%s": {"a": "1/2"}}'
+    for key in ("02", "2"):
+        system.write_text('{"B": "3/2", "payments": %s}' % (payments % key))
+        code, out, err = run_cli(capsys, "price", "verify", "--strict-b",
+                                 str(inst), "a", str(system))
+        assert code == 1 and out == ""
+        assert err.startswith("pb: malformed price system")
+
+
 def test_price_find(capsys, inst_file):
     code, out, _ = run_cli(
         capsys, "price", "find", "--strict-b", inst_file, "p2,p3"
@@ -391,7 +406,7 @@ def test_sat_file_must_hold_an_object(capsys, inst_file, tmp_path, selector, ver
     assert err == f"pb: {path} must hold a JSON object\n"
 
 
-@pytest.mark.parametrize("case", ["huge-int", "deep-nesting"])
+@pytest.mark.parametrize("case", ["huge-int", "deep-nesting", "repeated-key"])
 @pytest.mark.parametrize("reader", ["outcome", "table", "price-system"])
 def test_cli_json_readers_reject_bad_json_as_parse_error(capsys, inst_file, tmp_path,
                                                           reader, case):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -391,17 +392,37 @@ def growth_pool():
 @pytest.fixture
 def checked_classes(monkeypatch):
     """After every move, each class's scaled int over the common denominator
-    must equal its value. Records, per move, whether the denominator grew."""
+    must equal its value, and each project's class histogram and scaled sum
+    must equal a recount over its approvers, voter by voter. A project whose
+    histogram changed must be stale. Records, per move, whether the
+    denominator grew."""
     grew = []
-    move = rules._VoterClasses.move
+    init, move = rules._VoterClasses.__init__, rules._VoterClasses.move
+
+    def keep_instance(classes, inst, start):
+        init(classes, inst, start)
+        classes.checked_inst = inst
 
     def checked(classes, p, new_value):
-        den = classes.den
+        inst, den = classes.checked_inst, classes.den
+        type_of = {ballot: t for t, ballot in enumerate(classes.ballots)}
+
+        def recount(q):
+            of = [classes.of[type_of[inst.approval(i)]] for i in inst.approvers(q)]
+            return dict(Counter(of)), sum(classes.scaled[c] for c in of)
+
+        before = {q: recount(q)[0] for q in inst.projects}
         move(classes, p, new_value)
         for c, v in enumerate(classes.value):
             assert Fraction(classes.scaled[c], classes.den) == v, (p, c)
+        for q in inst.projects:
+            histogram, held = recount(q)
+            assert classes.histogram(q) == histogram, (p, q)
+            assert classes.held(q) == held, (p, q)
+            assert histogram == before[q] or q in classes.stale, (p, q)
         grew.append(classes.den != den)
 
+    monkeypatch.setattr(rules._VoterClasses, "__init__", keep_instance)
     monkeypatch.setattr(rules._VoterClasses, "move", checked)
     return grew
 
