@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Time MES[card], MES[cost] and Phragmen here against another checkout.
+
+Both checkouts' ``src/pbprop`` are imported in one process under their own
+package names, ``pbprop_this`` and ``pbprop_other``, so the two codes share
+one interpreter and one machine state and compare more steadily than
+separate benchmark runs. The instances are those of the benchmark's
+``elect-uniform`` and ``elect-clustered`` parts on seed 1, drawn by this
+checkout's ``perfbench/`` and parsed by each code from the same JSON or
+``.pb`` text. In each of 15 rounds every rule runs on every instance in
+both codes, back to back, in an order that alternates from one instance and
+one round to the next. Each pair of runs must give the same outcome and
+equal ``RuleTrace`` fields. Prints, per workload and rule, the median
+seconds of a round in each code and the rounds in which this checkout was
+faster.
+
+Example:
+    python scripts/ab_rules.py ../pbprop-parent
+"""
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+ROUNDS = 15
+SEED = 1
+RULES = ("mes-card", "mes-cost", "phragmen")
+
+
+def load(name: str, checkout: Path):
+    """The checkout's ``src/pbprop`` imported as package ``name``."""
+    package = checkout / "src" / "pbprop"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def texts() -> dict[str, list[tuple[str, str]]]:
+    """Each workload's instances as (format, text), from this checkout."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import elections
+    import workloads
+    from pbprop.model import emit_json
+
+    uniform = [("json", emit_json(elections.uniform(workloads._rng("elect-uniform", SEED, k),
+                                                    n, m)))
+               for k, (n, m) in enumerate(workloads.GRIDS["elect-uniform"])]
+    clustered = [("pb", elections.clustered(workloads._rng("elect-clustered", SEED, k),
+                                            n, m).to_pabulib())
+                 for k, (n, m) in enumerate(workloads.GRIDS["elect-clustered"])]
+    return {"uniform": uniform, "clustered": clustered}
+
+
+def calls(pkg, fmt: str, text: str) -> dict:
+    """The three rule runs of one instance in one code, as thunks."""
+    model = importlib.import_module(f"{pkg.__name__}.model")
+    rules = importlib.import_module(f"{pkg.__name__}.rules")
+    sat = importlib.import_module(f"{pkg.__name__}.satisfaction")
+    inst = (model.parse_json if fmt == "json" else model.parse_pabulib)(text)
+    card, cost = sat.cardinality_sat(inst), sat.cost_sat(inst)
+    return {"mes-card": lambda: rules.run_mes(inst, card),
+            "mes-cost": lambda: rules.run_mes(inst, cost),
+            "phragmen": lambda: rules.run_seq_phragmen(inst)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="root of the other pbprop checkout")
+    other = parser.parse_args(argv).other.resolve()
+    codes = (load("pbprop_this", ROOT), load("pbprop_other", other))
+    for workload, instances in texts().items():
+        runs = [[calls(pkg, fmt, text) for pkg in codes] for fmt, text in instances]
+        seconds = {rule: [[0.0, 0.0] for _ in range(ROUNDS)] for rule in RULES}
+        for r in range(ROUNDS):
+            for k, pair in enumerate(runs):
+                order = (0, 1) if (r + k) % 2 == 0 else (1, 0)
+                for rule in RULES:
+                    results = [None, None]
+                    for side in order:
+                        start = perf_counter()
+                        results[side] = pair[side][rule]()
+                        seconds[rule][r][side] += perf_counter() - start
+                    (w_this, t_this), (w_other, t_other) = results
+                    if w_this != w_other or vars(t_this) != vars(t_other):
+                        raise SystemExit(f"{workload} instance {k} {rule}: traces differ")
+        for rule in RULES + ("all",):
+            rounds = (seconds[rule] if rule != "all" else
+                      [[sum(seconds[q][r][s] for q in RULES) for s in (0, 1)]
+                       for r in range(ROUNDS)])
+            this, that = (statistics.median(t[s] for t in rounds) for s in (0, 1))
+            wins = sum(t[0] < t[1] for t in rounds)
+            print(f"{workload:9} {rule:8} other {that:.4f} s  this {this:.4f} s  "
+                  f"({this / that - 1:+.1%}), this faster in {wins}/{ROUNDS} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -306,10 +306,15 @@ def parse_pabulib(text: str) -> Instance:
         )
 
     vote_rows = sections["VOTES"]
-    _, col_vote = _columns("VOTES", vote_rows, ("voter_id", "vote"))
+    col_voter, col_vote = _columns("VOTES", vote_rows, ("voter_id", "vote"))
     approvals: list[frozenset[str]] = []
     ballots: dict[str, frozenset[str]] = {}  # one set per distinct raw vote string
+    voters: set[str] = set()
     for row in vote_rows[1:]:
+        voter = row[col_voter].strip() if len(row) > col_voter else ""
+        if not voter or voter in voters:
+            raise ParseError(f"repeated voter_id {voter!r}" if voter else "missing voter_id")
+        voters.add(voter)
         vote = row[col_vote] if len(row) > col_vote else ""
         ballot = ballots.get(vote)
         if ballot is None:

@@ -98,7 +98,8 @@ def verify_price_system(
 ) -> PriceReport:
     """Re-evaluate all six conditions exactly against a candidate system."""
     w = frozenset(outcome)
-    inst.total_cost(w)  # validates project ids (and implicitly feasibility data)
+    if inst.total_cost(w) > inst.budget:  # also validates the project ids
+        raise InstanceError("outcome exceeds the budget")
     for i in ps.payments:
         if not 1 <= i <= inst.n:
             raise InstanceError(f"payment from unknown voter {i}")

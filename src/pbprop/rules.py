@@ -11,7 +11,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .axioms import _guard, demand_sets
@@ -110,30 +110,26 @@ def min_rho(
 
 
 class _VoterClasses:
-    """Ballot types grouped by an equal running value: the MES budget or the
+    """The running value of every ballot type: the MES budget or the
     Phragmen load.
 
     Holders of one ballot type approve the same projects, so every selection
-    moves them together and they always share a value. ``value[c]`` is class
-    c's value and ``of[t]`` the class of ballot type t, an index into the
-    instance's ``ballot_types``. A rule evaluates a project on the few
-    classes its supporters fall in, counted from ``holding`` when it is
-    evaluated, instead of on its many voters. Projects whose supporters
-    move are added to ``stale``.
-
-    The rules compute on ``scaled[c] == value[c] * den``, ints over one
-    common denominator that grows to the lcm with each new value's.
+    moves them together and they always share a value. ``scaled[t]`` is
+    ballot type t's value times ``den``, an int over one common denominator
+    that grows to the lcm with each new value's; t indexes the instance's
+    ``ballot_types``. Ballot types with equal values form a class, named by
+    that scaled int. A rule evaluates a project on the few classes its
+    supporters fall in, counted from ``holding`` when it is evaluated,
+    instead of on its many voters. Projects whose supporters change value
+    are added to ``stale``.
     """
 
     def __init__(self, inst: Instance, start: Fraction):
-        self.value = [start]
-        self.den = start.denominator
-        self.scaled = [start.numerator]
-        self._ids = {start: 0}
         types = inst.ballot_types()
         self.ballots = list(types)
         self.holders = list(types.values())
-        self.of = [0] * len(self.ballots)
+        self.den = start.denominator
+        self.scaled = [start.numerator] * len(self.ballots)
         self.holding: dict[str, list[int]] = {p: [] for p in inst.projects}
         for t, ballot in enumerate(self.ballots):
             for p in ballot:
@@ -141,54 +137,50 @@ class _VoterClasses:
         self.stale: set[str] = set()
 
     def histogram(self, p: str) -> dict[int, int]:
-        """Each class that holds supporters of p, mapped to their number."""
-        of, holders = self.of, self.holders
+        """Each scaled value among p's supporters, mapped to their number."""
+        scaled, holders = self.scaled, self.holders
         per: dict[int, int] = {}
         for t in self.holding[p]:
-            c = of[t]
-            per[c] = per.get(c, 0) + len(holders[t])
+            s = scaled[t]
+            per[s] = per.get(s, 0) + len(holders[t])
         return per
 
     def held(self, p: str) -> int:
         """Sum of the values of p's supporters, times ``den``."""
-        scaled, of, holders = self.scaled, self.of, self.holders
-        return sum(scaled[of[t]] * len(holders[t]) for t in self.holding[p])
+        scaled, holders = self.scaled, self.holders
+        return sum(scaled[t] * len(holders[t]) for t in self.holding[p])
 
     def spread(self, p: str, amount: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Each supporter of p mapped to ``amount`` of its class, if the class
-        has one."""
+        """Each supporter of p mapped to ``amount`` of its scaled value, if
+        there is one."""
         out: dict[int, Fraction] = {}
         for t in self.holding[p]:
-            a = amount.get(self.of[t])
+            a = amount.get(self.scaled[t])
             if a is not None:
                 out.update(dict.fromkeys(self.holders[t], a))
         return out
 
     def per_voter(self) -> dict[int, Fraction]:
         """Every voter's value, by ascending voter id."""
-        pairs = zip(self.holders, self.of)
-        return dict(sorted((i, self.value[c]) for holders, c in pairs for i in holders))
+        value = {s: Fraction(s, self.den) for s in set(self.scaled)}
+        pairs = zip(self.holders, self.scaled)
+        return dict(sorted((i, value[s]) for holders, s in pairs for i in holders))
 
     def move(self, p: str, new_value: Mapping[int, Fraction]) -> None:
-        """Move each supporter of p in class c to the class holding
-        ``new_value[c]``, which is created if no class holds that value."""
-        target = {}
-        for c, v in new_value.items():
-            i = self._ids.get(v)  # hashing a Fraction is not cheap: once
-            if i is None:
-                grow = v.denominator // gcd(self.den, v.denominator)
-                if grow != 1:
-                    self.den *= grow
-                    self.scaled = [s * grow for s in self.scaled]
-                i = self._ids[v] = len(self.value)
-                self.value.append(v)
-                self.scaled.append(v.numerator * (self.den // v.denominator))
-            target[c] = i
-        of = self.of
+        """Give each supporter of p whose scaled value is s the value
+        ``new_value[s]``."""
+        den = lcm(self.den, *(v.denominator for v in new_value.values()))
+        grow = den // self.den
+        # keyed by the old ints as they read once rescaled to the new den
+        target = {s * grow: v.numerator * (den // v.denominator) for s, v in new_value.items()}
+        if grow != 1:
+            self.den = den
+            self.scaled = [s * grow for s in self.scaled]
+        scaled = self.scaled
         for t in self.holding[p]:
-            new = target[of[t]]
-            if new != of[t]:
-                of[t] = new
+            s = target[scaled[t]]
+            if s != scaled[t]:
+                scaled[t] = s
                 self.stale.update(self.ballots[t])
 
 
@@ -263,7 +255,7 @@ def run_mes(
     """Method of Equal Shares for an additive satisfaction function.
 
     Voters who approve the same chosen projects hold equal budgets, so
-    budgets are kept per class of ballot types. Budgets only fall, so a
+    rho is walked over the classes of equal budgets. Budgets only fall, so a
     project's rho only rises: rho values wait in a heap and are recomputed
     only when they reach the top."""
     if not mu.additive:
@@ -271,11 +263,9 @@ def run_mes(
     candidates = [p for p in inst.projects if inst.approvers(p)]
     units = {p: _additive_value(mu, p) for p in candidates}
     classes = _VoterClasses(inst, inst.budget / inst.n)
-    budget = classes.value
 
     def rho(p: str) -> Fraction | None:
-        scaled = classes.scaled
-        ladder = sorted((scaled[c], k) for c, k in classes.histogram(p).items())
+        ladder = sorted(classes.histogram(p).items())
         return _ladder_rho(ladder, classes.den, inst.costs[p], units[p])
 
     trace = RuleTrace(rule="mes", mu_kind=mu.kind)
@@ -283,18 +273,18 @@ def run_mes(
     for p, best in _select(inst, candidates, rho, classes.stale, tie, trace):
         price = best * units[p]
         per = classes.histogram(p)
-        scaled, den, cost = classes.scaled, classes.den, inst.costs[p]
-        # charges in units of 1/(den * price.denominator); a class holding
-        # less than the price pays all it holds
+        den, cost, scale = classes.den, inst.costs[p], classes.den * price.denominator
+        # charges in units of 1/scale; a class holding less than the price
+        # pays all it holds
         cap = price.numerator * den
-        charged = {c: min(scaled[c] * price.denominator, cap) for c in per}
-        paid = sum(charged[c] * k for c, k in per.items())
-        if paid * cost.denominator != cost.numerator * den * price.denominator:
+        charged = {s: min(s * price.denominator, cap) for s in per}
+        paid = sum(charged[s] * k for s, k in per.items())
+        if paid * cost.denominator != cost.numerator * scale:
             raise InvariantError(f"MES charges for {p!r} do not sum to its cost")
-        pay = {c: price if a == cap else budget[c] for c, a in charged.items() if a}
+        pay = {s: price if a == cap else Fraction(s, den) for s, a in charged.items() if a}
         trace.payments[p] = classes.spread(p, pay)
-        classes.move(p, {c: budget[c] - price if a == cap else zero
-                         for c, a in charged.items()})
+        classes.move(p, {s: Fraction(s * price.denominator - cap, scale) if a == cap else zero
+                         for s, a in charged.items()})
     outcome = frozenset(p for _, p, _ in trace.selections)
     trace.voter_budgets = classes.per_voter()
     unselected = [p for p in inst.projects if p not in outcome]
@@ -319,7 +309,7 @@ def run_seq_phragmen(
     those dropped together by id.
 
     Voters whose last approved chosen project is the same hold equal loads,
-    so loads are kept per class of ballot types. Loads only rise, so a
+    so loads are kept per ballot type. Loads only rise, so a
     project's load t only rises: t values wait in a heap and are recomputed
     only when they reach the top.
     """
@@ -329,7 +319,6 @@ def run_seq_phragmen(
     pool = [p for p in inst.projects if inst.approvers(p)]
     size = {p: len(inst.approvers(p)) for p in pool}
     classes = _VoterClasses(inst, Fraction(0))
-    load = classes.value
 
     def t(p: str) -> Fraction:
         den, cost = classes.den, inst.costs[p]
@@ -339,14 +328,14 @@ def run_seq_phragmen(
     trace = RuleTrace(rule="phragmen")
     for p, t_min in _select(inst, pool, t, classes.stale, tie, trace, skip_blocked):
         per = classes.histogram(p)
-        scaled, den, cost = classes.scaled, classes.den, inst.costs[p]
-        # charges in units of 1/(den * t_min.denominator)
-        level = t_min.numerator * den
-        charged = {c: level - scaled[c] * t_min.denominator for c in per}
-        paid = sum(charged[c] * k for c, k in per.items())
-        if paid * cost.denominator != cost.numerator * den * t_min.denominator:
+        cost, scale = inst.costs[p], classes.den * t_min.denominator
+        # charges in units of 1/scale
+        level = t_min.numerator * classes.den
+        charged = {s: level - s * t_min.denominator for s in per}
+        paid = sum(charged[s] * k for s, k in per.items())
+        if paid * cost.denominator != cost.numerator * scale:
             raise InvariantError(f"Phragmen charges for {p!r} do not sum to its cost")
-        charge = {c: t_min - load[c] for c, a in charged.items() if a > 0}
+        charge = {s: Fraction(a, scale) for s, a in charged.items() if a > 0}
         trace.payments[p] = classes.spread(p, charge)
         classes.move(p, dict.fromkeys(per, t_min))
     outcome = frozenset(p for _, p, _ in trace.selections)

@@ -70,6 +70,14 @@ def test_run_reads_pabulib_without_extension(capsys, tmp_path):
     assert json.loads(out)["outcome"] == ["a", "b"]
 
 
+def test_run_refuses_pabulib_with_a_repeated_voter(capsys, tmp_path):
+    # counted twice, voter 1 would approve a and b alone
+    path = tmp_path / "instance.pb"
+    path.write_text(PB_TEXT.replace("num_votes;1", "num_votes;2") + "1;a,b\n")
+    code, out, err = run_cli(capsys, "run", "--rule", "phragmen", str(path))
+    assert (code, out, err) == (1, "", "pb: repeated voter_id '1'\n")
+
+
 def test_run_reads_pabulib_with_extra_columns(capsys):
     path = FIXTURES / "pabulib_extra_columns.pb"
     code, out, _ = run_cli(capsys, "run", "--rule", "mes", str(path))
@@ -241,6 +249,19 @@ def test_price_verify_refuses_two_keys_for_one_voter(capsys, tmp_path):
                                  str(inst), "a", str(system))
         assert code == 1 and out == ""
         assert err.startswith("pb: malformed price system")
+
+
+def test_price_verify_refuses_an_outcome_over_the_budget(capsys, tmp_path):
+    # verify, find and audit all refuse the outcome a,b (cost 2, budget 1)
+    inst = tmp_path / "inst.json"
+    inst.write_text(emit_json(Instance.create({"a": 1, "b": 1}, [{"a", "b"}, {"a", "b"}], 1)))
+    system = tmp_path / "ps.json"
+    system.write_text('{"B": "2", "payments": {"1": {"a": "1"}, "2": {"b": "1"}}}')
+    for argv in (["price", "verify", "--strict-b", "--c6", str(inst), "a,b", str(system)],
+                 ["price", "find", str(inst), "a,b"],
+                 ["audit", str(inst), "a,b"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "pb: outcome exceeds the budget\n"), argv
 
 
 def test_price_find(capsys, inst_file):

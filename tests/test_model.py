@@ -128,6 +128,8 @@ def _padded(text):
         (lambda s: s.replace("p2;1\n", "p2; x\n"), "not a rational number: 'x'"),
         (lambda s: s.replace("p2;1\n", "p1;1\n"), "duplicate project id 'p1'"),
         (lambda s: s.replace("1;p1,p2", "1; p1 , p9 "), "vote references unknown projects ['p9']"),
+        (lambda s: s.replace("2;p2", "1;p2"), "repeated voter_id '1'"),
+        (lambda s: s.replace("2;p2", ";p2"), "missing voter_id"),
     ],
 )
 def test_parse_pabulib_reads_stripped_fields(mangle, message):

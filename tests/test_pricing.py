@@ -100,6 +100,15 @@ def test_verify_rejects_malformed():
         )
 
 
+def test_verify_refuses_an_outcome_over_the_budget():
+    # the payments alone would pass every condition at B = 2
+    inst = Instance.create({"a": 1, "b": 1}, [{"a", "b"}, {"a", "b"}], 1)
+    ps = PriceSystem(budget=Fraction(2), payments={1: {"a": Fraction(1)},
+                                                   2: {"b": Fraction(1)}})
+    with pytest.raises(InstanceError, match="^outcome exceeds the budget$"):
+        verify_price_system(inst, {"a", "b"}, ps)
+
+
 def _perturbed(inst, w, ps, rng):
     """The system itself, then copies with one payment moved to a project
     the payer does not approve or that is not chosen, B lowered, and one

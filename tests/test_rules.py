@@ -391,10 +391,12 @@ def growth_pool():
 
 @pytest.fixture
 def checked_classes(monkeypatch):
-    """After every move, each class's scaled int over the common denominator
-    must equal its value, and each project's class histogram and scaled sum
-    must equal a recount over its approvers, voter by voter. A project whose
-    histogram changed must be stale. Records, per move, whether the
+    """After every move, the table must hold one scaled int per ballot type,
+    each reading over the common denominator as its new value (or as its old
+    one, off the selected project), and each project's histogram of scaled
+    values and their sum must equal a recount over its approvers, voter by
+    voter. A project whose histogram changed from the one before, rescaled
+    to the new denominator, must be stale. Records, per move, whether the
     denominator grew."""
     grew = []
     init, move = rules._VoterClasses.__init__, rules._VoterClasses.move
@@ -404,23 +406,27 @@ def checked_classes(monkeypatch):
         classes.checked_inst = inst
 
     def checked(classes, p, new_value):
-        inst, den = classes.checked_inst, classes.den
+        inst, den, old = classes.checked_inst, classes.den, list(classes.scaled)
         type_of = {ballot: t for t, ballot in enumerate(classes.ballots)}
 
         def recount(q):
-            of = [classes.of[type_of[inst.approval(i)]] for i in inst.approvers(q)]
-            return dict(Counter(of)), sum(classes.scaled[c] for c in of)
+            values = [classes.scaled[type_of[inst.approval(i)]] for i in inst.approvers(q)]
+            return dict(Counter(values)), sum(values)
 
         before = {q: recount(q)[0] for q in inst.projects}
         move(classes, p, new_value)
-        for c, v in enumerate(classes.value):
-            assert Fraction(classes.scaled[c], classes.den) == v, (p, c)
+        grow = classes.den // den
+        assert len(classes.scaled) == len(inst.ballot_types()), p
+        for t, s in enumerate(classes.scaled):
+            want = new_value[old[t]] if p in classes.ballots[t] else Fraction(old[t], den)
+            assert Fraction(s, classes.den) == want, (p, t)
         for q in inst.projects:
             histogram, held = recount(q)
             assert classes.histogram(q) == histogram, (p, q)
             assert classes.held(q) == held, (p, q)
-            assert histogram == before[q] or q in classes.stale, (p, q)
-        grew.append(classes.den != den)
+            rescaled = {s * grow: k for s, k in before[q].items()}
+            assert histogram == rescaled or q in classes.stale, (p, q)
+        grew.append(grow != 1)
 
     monkeypatch.setattr(rules._VoterClasses, "__init__", keep_instance)
     monkeypatch.setattr(rules._VoterClasses, "move", checked)
