@@ -10,9 +10,10 @@ checkout's ``perfbench/`` and parsed by each code from the same JSON or
 ``.pb`` text. In each of 15 rounds every rule runs on every instance in
 both codes, back to back, in an order that alternates from one instance and
 one round to the next. Each pair of runs must give the same outcome and
-equal ``RuleTrace`` fields. Prints, per workload and rule, the median
-seconds of a round in each code and the rounds in which this checkout was
-faster.
+equal traces, compared as ``baseline_rows.canonical`` reads them: payments
+expanded per voter and sorted by voter, every other field as it is. Prints,
+per workload and rule, the median seconds of a round in each code and the
+rounds in which this checkout was faster.
 
 Example:
     python scripts/ab_rules.py ../pbprop-parent
@@ -24,6 +25,8 @@ import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
+
+from baseline_rows import canonical
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 15
@@ -88,7 +91,7 @@ def main(argv=None) -> int:
                         results[side] = pair[side][rule]()
                         seconds[rule][r][side] += perf_counter() - start
                     (w_this, t_this), (w_other, t_other) = results
-                    if w_this != w_other or vars(t_this) != vars(t_other):
+                    if w_this != w_other or canonical(t_this) != canonical(t_other):
                         raise SystemExit(f"{workload} instance {k} {rule}: traces differ")
         for rule in RULES + ("all",):
             rounds = (seconds[rule] if rule != "all" else

@@ -44,13 +44,21 @@ ROWS = {
 }
 
 
+def canonical(trace) -> dict:
+    """A rule trace as its fields, with the payments expanded per voter and
+    sorted by voter, so that a trace that keeps its payments per class of
+    voters reads the same as one that keeps them per voter."""
+    view = {k: v for k, v in vars(trace).items() if k not in ("payments", "payment_classes")}
+    view["payments"] = {p: dict(sorted(per.items())) for p, per in trace.payments.items()}
+    return view
+
+
 def trace_sha256(trace) -> str:
-    """SHA-256 of every field of a rule trace in its own order, amounts as
-    exact "p/q" strings."""
+    """SHA-256 of the canonical trace, amounts as exact "p/q" strings."""
     def plain(obj):  # a Fraction, or the LoadAssignment of a maximin block
         return str(obj) if isinstance(obj, Fraction) else vars(obj)
 
-    return hashlib.sha256(json.dumps(vars(trace), default=plain).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(canonical(trace), default=plain).encode()).hexdigest()
 
 
 def run_row(name: str) -> None:
@@ -70,7 +78,7 @@ def run_row(name: str) -> None:
         start = perf_counter()
         ps = find_price_system(inst, outcome, require_c6=True)
         wall = perf_counter() - start
-        result = {"outcome": sorted(outcome), "system": ps and ps.to_dict()}
+        result = {"outcome": sorted(outcome), "system": ps and json.loads(ps.to_json())}
     else:
         params = GenParams(n, m, density=0.2, budget_min=Fraction(3 * m, 4),
                            budget_max=Fraction(m))

@@ -24,6 +24,7 @@ from .model import (
     Instance,
     InstanceError,
     ParseError,
+    VoterMap,
     dumps,
     emit_json,
     generate_random,
@@ -110,8 +111,8 @@ def _trace_json(trace: rules.RuleTrace) -> dict:
     data: dict = {
         "selections": [[r, p, money_str(v)] for r, p, v in trace.selections],
         "payments": {
-            p: {str(i): text(a) for i, a in sorted(per.items())}
-            for p, per in sorted(trace.payments.items())
+            p: VoterMap([(holders, text(a)) for holders, a in pairs])
+            for p, pairs in sorted(trace.payment_classes.items())
         },
         "exhaustive": trace.exhaustive,
     }

@@ -9,10 +9,10 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, Mapping, Sequence
 
 Money = Fraction
 
@@ -70,19 +70,49 @@ def money_str_memo() -> Callable[[Fraction], str]:
     return text
 
 
+class VoterMap(Mapping):
+    """A JSON object keyed by voter, kept as classes of voters.
+
+    Each (holders, value) pair of ``classes`` gives every voter in
+    ``holders`` (ints; no voter in two pairs) the same value. ``dumps``
+    writes it as the object keyed by ``str(voter)`` in ascending voter
+    order, building the text of each value once. As a read-only mapping it
+    is that object, expanded when it is first read."""
+
+    def __init__(self, classes: Sequence[tuple[Sequence[int], object]]):
+        self.classes = classes
+        self._expanded: dict | None = None
+
+    def _items(self) -> dict:
+        if self._expanded is None:
+            per = {i: v for holders, v in self.classes for i in holders}
+            self._expanded = {str(i): per[i] for i in sorted(per)}
+        return self._expanded
+
+    def __getitem__(self, key: str):
+        return self._items()[key]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return len(self._items())
+
+
 def dumps(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2)``, byte for byte.
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte, with each
+    ``VoterMap`` written as the object it stands for.
 
     Every JSON document pbprop writes goes through here. It takes only the
-    types payloads hold: dicts with str keys, lists, str, int, bool and
-    None; anything else raises ``TypeError``. Strings are quoted by the C
-    ``encode_basestring_ascii`` and each container is one ``join``, because
-    with ``indent`` the standard library falls back to its pure-Python
-    encoder."""
-    return _dumps(obj, "\n")
+    types payloads hold: dicts with str keys, voter maps, lists, str, int,
+    bool and None; anything else raises ``TypeError``. Strings are quoted by
+    the C ``encode_basestring_ascii`` and each container is one ``join``,
+    because with ``indent`` the standard library falls back to its
+    pure-Python encoder."""
+    return _dumps(obj, "\n", {})
 
 
-def _dumps(obj, nl: str) -> str:
+def _dumps(obj, nl: str, memo: dict) -> str:
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, dict):
@@ -90,15 +120,17 @@ def _dumps(obj, nl: str) -> str:
             return "{}"
         inner = nl + "  "
         return "{" + inner + ("," + inner).join([
-            _quote(k) + ": " + (_quote(v) if type(v) is str else _dumps(v, inner))
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _dumps(v, inner, memo))
             for k, v in obj.items()  # _quote raises TypeError on a non-str key
         ]) + nl + "}"
+    if type(obj) is VoterMap:
+        return _voter_map(obj.classes, nl, memo)
     if isinstance(obj, list):
         if not obj:
             return "[]"
         inner = nl + "  "
         return "[" + inner + ("," + inner).join([
-            _quote(v) if type(v) is str else _dumps(v, inner) for v in obj
+            _quote(v) if type(v) is str else _dumps(v, inner, memo) for v in obj
         ]) + nl + "]"
     if obj is None:
         return "null"
@@ -109,6 +141,33 @@ def _dumps(obj, nl: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     raise TypeError(f"cannot write {type(obj).__name__} as a JSON payload value")
+
+
+def _voter_map(classes, nl: str, memo: dict) -> str:
+    """One voter map's text, each class value written once. ``memo`` keeps
+    the text of each container value by ``id()``, with the value itself so
+    that the id stays taken, and reuses it wherever the same object recurs
+    at the same depth in this call."""
+    inner = nl + "  "
+    text: dict[int, str] = {}
+    for holders, value in classes:
+        if type(value) is str:
+            t = _quote(value)
+        else:
+            seen = memo.get(id(value))
+            if seen is None or seen[1] != inner:
+                seen = memo[id(value)] = (value, inner, _dumps(value, inner, memo))
+            t = seen[2]
+        if len(holders) == 1:
+            text[holders[0]] = t
+        else:
+            for i in holders:
+                text[i] = t
+    if not text:
+        return "{}"
+    return "{" + inner + ("," + inner).join([
+        f'"{i}": {text[i]}' for i in sorted(text)
+    ]) + nl + "}"
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,17 @@ and a payment function d_i over projects. The six conditions checked here:
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import cached_property
+from math import inf, lcm
 
 from .errors import GuardExceededError
 from .lp import solve_lp
 from .model import (
-    Instance, InstanceError, ParseError, dumps, load_json, money_str, money_str_memo,
-    parse_money,
+    Instance, InstanceError, ParseError, VoterMap, dumps, load_json, money_str,
+    money_str_memo, parse_money,
 )
 from .rules import RuleTrace
 
@@ -36,12 +38,43 @@ class ExtractionUnavailableError(RuntimeError):
     project in a Phragmen run that exhausted its candidates)."""
 
 
-@dataclass(frozen=True)
+Row = Mapping[str, Fraction]  # project -> amount
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class PriceSystem:
-    """Virtual budget B plus per-voter payment functions."""
+    """Virtual budget B plus payment functions, kept as classes of voters.
+
+    Each (holders, row) pair of ``classes`` gives every voter in ``holders``
+    the payment row ``row``; a voter in no class pays nothing. Build it from
+    classes, or from per-voter rows with ``payments=``, which are grouped
+    once: voters in ascending order, each joining the previous voter's class
+    when its row is equal, key order included (``from_json`` groups all
+    voters whose rows read the same). ``payments`` is the per-voter view,
+    and two systems are equal when their budgets and per-voter payments
+    are."""
 
     budget: Fraction  # B; each voter holds B/n
-    payments: Mapping[int, Mapping[str, Fraction]]  # voter -> project -> amount
+    classes: list[tuple[list[int], Row]]
+
+    def __init__(self, budget: Fraction, payments: Mapping[int, Row] | None = None,
+                 classes: Iterable[tuple[list[int], Row]] | None = None):
+        if (payments is None) == (classes is None):
+            raise TypeError("PriceSystem takes either payments or classes")
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "classes",
+                           _grouped(payments) if classes is None else list(classes))
+
+    @cached_property
+    def payments(self) -> dict[int, Row]:
+        """Each listed voter's row, by ascending voter."""
+        rows = {i: row for holders, row in self.classes for i in holders}
+        return {i: rows[i] for i in sorted(rows)}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PriceSystem):
+            return NotImplemented
+        return self.budget == other.budget and self.payments == other.payments
 
     def spent(self, voter: int) -> Fraction:
         return sum(self.payments.get(voter, {}).values(), Fraction(0))
@@ -50,14 +83,13 @@ class PriceSystem:
         return self.budget / n - self.spent(voter)
 
     def to_dict(self) -> dict:
-        """The JSON object of ``to_json``: exact "p/q" amounts, sorted keys."""
+        """The JSON object of ``to_json``: exact "p/q" amounts, sorted keys.
+        The payments are a ``VoterMap`` holding one sorted row per class."""
         text = money_str_memo()
         return {
             "B": money_str(self.budget),
-            "payments": {
-                str(i): {p: text(v) for p, v in sorted(per.items())}
-                for i, per in sorted(self.payments.items())
-            },
+            "payments": VoterMap([(holders, {p: text(v) for p, v in sorted(row.items())})
+                                  for holders, row in self.classes]),
         }
 
     def to_json(self) -> str:
@@ -65,18 +97,39 @@ class PriceSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "PriceSystem":
-        """Parse ``to_json`` output; anything else raises ``ParseError``."""
+        """Parse ``to_json`` output; anything else raises ``ParseError``.
+        Voters whose rows read the same, key order included, form one class,
+        and each distinct row is parsed once."""
         try:
             data = load_json(text)
-            payments = {}
+            rows: dict[tuple, tuple[list[int], Row]] = {}
             for key, per in data["payments"].items():
                 i = int(key)
                 if str(i) != key:  # "02" or " 2" would name voter 2 twice
                     raise ValueError(f"voter key {key!r} is not a plain integer")
-                payments[i] = {p: parse_money(v) for p, v in per.items()}
-            return cls(budget=parse_money(data["B"]), payments=payments)
+                same = tuple(per.items())
+                if same not in rows:
+                    rows[same] = ([], {p: parse_money(v) for p, v in per.items()})
+                rows[same][0].append(i)
+            return cls(budget=parse_money(data["B"]),
+                       classes=[(sorted(holders), row) for holders, row in rows.values()])
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ParseError(f"malformed price system: {exc!r}") from exc
+
+
+def _grouped(payments: Mapping[int, Row]) -> list[tuple[list[int], Row]]:
+    """Per-voter rows as classes of consecutive voters with equal rows.
+    Rows are compared, not hashed: hashing a Fraction is slow."""
+    classes: list[tuple[list[int], Row]] = []
+    last = None
+    for i in sorted(payments):
+        row = payments[i]
+        if row is last or (row == last and list(row) == list(last)):
+            classes[-1][0].append(i)
+        else:
+            classes.append(([i], row))
+            last = row
+    return classes
 
 
 @dataclass
@@ -93,74 +146,130 @@ class PriceReport:
         return all(self.verdicts[c][0] for c in needed)
 
 
+def _listed(inst: Instance, classes) -> set[int]:
+    """The voters the classes list; a voter outside 1..n or listed twice is
+    an ``InstanceError``."""
+    voters = set().union(*(holders for holders, _ in classes))
+    for i in (min(voters, default=1), max(voters, default=1)):
+        if not 1 <= i <= inst.n:
+            raise InstanceError(f"payment from unknown voter {i}")
+    if len(voters) < sum(len(holders) for holders, _ in classes):
+        seen: set[int] = set()
+        for i in (i for holders, _ in classes for i in holders):
+            if i in seen:
+                raise InstanceError(f"voter {i} is listed twice")
+            seen.add(i)
+    return voters
+
+
+def _ballots(inst: Instance, holders: list[int]):
+    """(ballot, holder count, lowest holder) for each distinct ballot among
+    the holders; a class that is one ballot type is recognised at once."""
+    ballot = inst.approvals[holders[0] - 1]
+    if len(holders) == 1 or inst.ballot_types().get(ballot) is holders:
+        return [(ballot, len(holders), holders[0])]
+    groups: dict[frozenset[str], list] = {}
+    for i in holders:
+        ballot = inst.approvals[i - 1]
+        group = groups.get(ballot)
+        if group is None:
+            groups[ballot] = [ballot, 1, i]
+        else:
+            group[1] += 1
+            group[2] = min(group[2], i)
+    return groups.values()
+
+
 def verify_price_system(
     inst: Instance, outcome, ps: PriceSystem
 ) -> PriceReport:
-    """Re-evaluate all six conditions exactly against a candidate system."""
+    """Re-evaluate all six conditions exactly against a candidate system.
+
+    Holders of one class pay one row, so C2 and C3 are checked and C4
+    summed once per class; holders of one class and one ballot also pass or
+    fail C1 together and count alike towards C5 and C6, which are taken once
+    per distinct ballot within a class. The lowest voter concerned stands
+    for them in a witness, and the witness a scan meets first wins, so
+    verdicts, first witnesses and the order in which conditions first fail
+    are those of a voter-by-voter check. The sums run on ints: money is
+    counted in units of 1/den, with den the lcm of the denominators of B/n,
+    every cost and every amount."""
     w = frozenset(outcome)
     if inst.total_cost(w) > inst.budget:  # also validates the project ids
         raise InstanceError("outcome exceeds the budget")
-    for i in ps.payments:
-        if not 1 <= i <= inst.n:
-            raise InstanceError(f"payment from unknown voter {i}")
-    verdicts: dict[str, tuple[bool, tuple | None]] = {}
+    classes = [(holders, row) for holders, row in ps.classes if holders]
+    listed = _listed(inst, classes)
+    share = Fraction(ps.budget) / inst.n
+    den = lcm(share.denominator, *(c.denominator for c in inst.costs.values()),
+              *{a.denominator for _, row in classes for a in row.values()})
+    cost = {p: c.numerator * (den // c.denominator) for p, c in inst.costs.items()}
+    quota = share.numerator * (den // share.denominator)  # B/n
+    first: dict[str, tuple] = {}  # condition -> (scan position, witness)
 
-    def fail_first(name: str, witness) -> None:
-        if name not in verdicts:
-            verdicts[name] = (False, witness)
+    def fail(name: str, witness: tuple, at: tuple = (inf,)) -> None:
+        """Keep the witness that a voter-by-voter scan meets first; ``at``
+        is where it meets it: (voter, position in the row, check)."""
+        if name not in first or at < first[name][0]:
+            first[name] = (at, witness)
 
-    # Holders of one ballot type with equal payment rows pass or fail every
-    # condition together, so each class of them is checked once, as its
-    # lowest voter, in ascending order of that voter: the first witness of
-    # each condition is then the per-voter one. The same pass refuses rows
-    # with unknown projects or negative amounts. A holder whose row differs
-    # from the previous holder's starts a new class, so grouping stays
-    # linear; equal rows split into two classes are merely checked twice.
-    # Rows are compared, not hashed: hashing a Fraction is slow.
-    classes: list[list] = []  # [lowest voter, ballot, row, holders in class]
-    for ballot, holders in inst.ballot_types().items():
-        last = None
-        for i in holders:
-            row = ps.payments.get(i, {})
-            if last is not None and row == last[2]:
-                last[3] += 1
-            else:
-                last = [i, ballot, row, 1]
-                classes.append(last)
-    classes.sort(key=lambda c: c[0])
-    share = ps.budget / inst.n
-    left = []  # each class's leftover B_i* = B/n - spent
-    paid: dict[str, Fraction] = {}
-    for i, ballot, row, k in classes:
-        for p, amount in row.items():
-            if p not in inst.costs:
+    paid = dict.fromkeys(w, 0)
+    pooled: dict[str, int] = {}  # unchosen project -> its listed approvers' leftover
+    counted: dict[str, int] = {}  # unchosen project -> its listed approvers
+    towards: dict[str, dict[str, int]] = {}  # unchosen pj -> chosen pk -> paid by N_j
+    for holders, row in classes:
+        low, k = min(holders), len(holders)
+        scaled = [(p, a.numerator * (den // a.denominator)) for p, a in row.items()]
+        spent = 0
+        for p, a in scaled:
+            if p not in cost:
                 raise InstanceError(f"payment on unknown project {p!r}")
-            if amount > 0:
-                if p not in ballot:
-                    fail_first("C1", (i, p))
-                if p not in w:
-                    fail_first("C2", (i, p))
-            elif amount < 0:
-                raise InstanceError(f"negative payment by voter {i} on {p!r}")
-            paid[p] = paid.get(p, Fraction(0)) + k * amount
-        left.append(share - sum(row.values(), Fraction(0)))
-        if left[-1] < 0:
-            fail_first("C3", (i,))
+            if a < 0:
+                raise InstanceError(f"negative payment by voter {low} on {p!r}")
+            spent += a
+            if p in paid:
+                paid[p] += k * a
+        if spent > quota:
+            fail("C3", (low,), (low, len(scaled), 2))
+        positive = [(j, p) for j, (p, a) in enumerate(scaled) if a > 0]
+        outside = next(((j, p) for j, p in positive if p not in w), None)
+        if outside is not None:
+            fail("C2", (low, outside[1]), (low, outside[0], 1))
+        left = quota - spent
+        pay = [(p, a) for p, a in scaled if a and p in w]
+        for ballot, count, lowest in _ballots(inst, holders):
+            unapproved = next(((j, p) for j, p in positive if p not in ballot), None)
+            if unapproved is not None:
+                fail("C1", (lowest, unapproved[1]), (lowest, unapproved[0], 0))
+            for pj in ballot:
+                if pj in w:
+                    continue
+                pooled[pj] = pooled.get(pj, 0) + count * left
+                counted[pj] = counted.get(pj, 0) + count
+                if pay:
+                    sums = towards.setdefault(pj, {})
+                    for pk, a in pay:
+                        sums[pk] = sums.get(pk, 0) + count * a
+    if quota < 0 and len(listed) < inst.n:  # an unlisted voter spends 0 > B/n
+        i = next(i for i in inst.voters if i not in listed)
+        fail("C3", (i,), (i, 0, 2))
     chosen = sorted(w)
-    for p in chosen:
-        if paid.get(p, Fraction(0)) != inst.costs[p]:
-            fail_first("C4", (p,))
+    short = next((p for p in chosen if paid[p] != cost[p]), None)
+    if short is not None:
+        fail("C4", (short,))
     unchosen = [p for p in inst.projects if p not in w]
-    for p in unchosen:  # the approvers' pooled leftover
-        pooled = sum((c[3] * b for c, b in zip(classes, left) if p in c[1]), Fraction(0))
-        if pooled > inst.costs[p]:
-            fail_first("C5", (p,))
+    for p in unchosen:  # the approvers' pooled leftover; unlisted ones keep B/n
+        unlisted = len(inst.approvers(p)) - counted.get(p, 0)
+        if pooled.get(p, 0) + unlisted * quota > cost[p]:
+            fail("C5", (p,))
+            break
     for pj in unchosen:
-        rows = [(row, k) for _, ballot, row, k in classes if pj in ballot]
-        for pk in chosen:
-            towards = sum((k * row[pk] for row, k in rows if pk in row), Fraction(0))
-            if towards > inst.costs[pj]:
-                fail_first("C6", (pj, pk))
+        sums = towards.get(pj, {})
+        over = next((pk for pk in chosen if sums.get(pk, 0) > cost[pj]), None)
+        if over is not None:
+            fail("C6", (pj, over))
+            break
+    # C4-C6 tie at (inf,) and keep the order in which they are checked
+    verdicts = {c: (False, first[c][1]) for c in sorted(first, key=lambda c: first[c][0])}
     for name in CONDITIONS:
         verdicts.setdefault(name, (True, None))
     return PriceReport(verdicts=verdicts, b_strict=ps.budget > inst.budget)
@@ -170,12 +279,17 @@ def verify_price_system(
 # Extraction from rule traces
 
 
-def _invert(payments: Mapping[str, Mapping[int, Fraction]]) -> dict[int, dict[str, Fraction]]:
-    by_voter: dict[int, dict[str, Fraction]] = {}
-    for p, per in payments.items():
-        for i, amount in per.items():
-            by_voter.setdefault(i, {})[p] = amount
-    return by_voter
+def _trace_classes(trace: RuleTrace) -> list[tuple[list[int], dict[str, Fraction]]]:
+    """The trace's payments as price-system classes: each holder list of the
+    trace with its amounts in selection order."""
+    rows: dict[int, tuple[list[int], dict[str, Fraction]]] = {}
+    for p, pairs in trace.payment_classes.items():
+        for holders, amount in pairs:
+            entry = rows.get(holders[0])  # holder lists are equal or disjoint
+            if entry is None:
+                entry = rows[holders[0]] = (holders, {})
+            entry[1][p] = amount
+    return list(rows.values())
 
 
 def extract_from_mes_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
@@ -186,14 +300,14 @@ def extract_from_mes_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
         raise ExtractionUnavailableError("trace does not come from an MES run")
     if trace.delta is None:
         # Everything was selected; C5 is vacuous and any B above b works.
-        return PriceSystem(budget=inst.budget + 1, payments=_invert(trace.payments))
+        return PriceSystem(budget=inst.budget + 1, classes=_trace_classes(trace))
     if trace.delta <= 0:
         raise ExtractionUnavailableError(
             f"trace reports a non-positive affordability gap delta={trace.delta}"
         )
     eps = trace.delta / (2 * inst.n)
     budget = inst.n * (inst.budget / inst.n + eps)
-    return PriceSystem(budget=budget, payments=_invert(trace.payments))
+    return PriceSystem(budget=budget, classes=_trace_classes(trace))
 
 
 def extract_from_phragmen_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
@@ -210,7 +324,7 @@ def extract_from_phragmen_trace(inst: Instance, trace: RuleTrace) -> PriceSystem
     for i in inst.approvers(blocked):
         loads[i] = t_val
     budget = inst.n * max(loads.values())
-    return PriceSystem(budget=budget, payments=_invert(trace.payments))
+    return PriceSystem(budget=budget, classes=_trace_classes(trace))
 
 
 def extract_from_maximin_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
@@ -227,9 +341,9 @@ def extract_from_maximin_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
         raise ExtractionUnavailableError(
             "no blocking project: the run exhausted its candidates"
         )
-    w = sorted(trace.payments)
+    w = sorted(trace.payment_classes)
     budget = inst.n * trace.blocking_loads.max_load
-    ps = PriceSystem(budget=budget, payments=_invert(trace.payments))
+    ps = PriceSystem(budget=budget, classes=_trace_classes(trace))
     report = verify_price_system(inst, w, ps)
     if all(report.verdicts[c][0] for c in CONDITIONS):
         return ps

@@ -11,7 +11,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .axioms import _guard, demand_sets
@@ -49,12 +49,16 @@ class RuleTrace:
 
     ``selections`` holds (round, project, value) where the value is the MES
     price-per-satisfaction rho, the Phragmen load t, or the maximin balanced
-    max load. ``payments`` maps selected projects to per-voter charges.
+    max load. ``payment_classes`` maps each selected project to (holders,
+    amount) pairs: every voter in the ascending list ``holders`` pays
+    ``amount`` towards it. MES and Phragmen give one pair per paying ballot
+    type, maximin one per paying voter; two holder lists of one trace are
+    equal or disjoint. ``payments`` is the per-voter view.
     """
 
     rule: str
     selections: list[tuple[int, str, Fraction]] = field(default_factory=list)
-    payments: dict[str, dict[int, Fraction]] = field(default_factory=dict)
+    payment_classes: dict[str, list[tuple[list[int], Fraction]]] = field(default_factory=dict)
     voter_budgets: dict[int, Fraction] | None = None
     voter_loads: dict[int, Fraction] | None = None
     delta: Fraction | None = None
@@ -63,6 +67,12 @@ class RuleTrace:
     skipped: list[str] = field(default_factory=list)
     exhaustive: bool | None = None
     mu_kind: str | None = None
+
+    @property
+    def payments(self) -> dict[str, dict[int, Fraction]]:
+        """Each selected project's charges by voter, in ascending voter order."""
+        return {p: dict(sorted((i, a) for holders, a in pairs for i in holders))
+                for p, pairs in self.payment_classes.items()}
 
 
 def _additive_value(mu: SatisfactionFunction, p: str) -> Fraction:
@@ -150,29 +160,32 @@ class _VoterClasses:
         scaled, holders = self.scaled, self.holders
         return sum(scaled[t] * len(holders[t]) for t in self.holding[p])
 
-    def spread(self, p: str, amount: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Each supporter of p mapped to ``amount`` of its scaled value, if
-        there is one."""
-        out: dict[int, Fraction] = {}
-        for t in self.holding[p]:
-            a = amount.get(self.scaled[t])
-            if a is not None:
-                out.update(dict.fromkeys(self.holders[t], a))
-        return out
+    def spread(self, p: str, amount: Mapping[int, Fraction]) -> list[tuple[list[int], Fraction]]:
+        """(holders, ``amount`` of their scaled value) for each ballot type
+        that supports p and whose scaled value has an amount."""
+        scaled, holders = self.scaled, self.holders
+        return [(holders[t], a) for t in self.holding[p]
+                if (a := amount.get(scaled[t])) is not None]
 
     def per_voter(self) -> dict[int, Fraction]:
         """Every voter's value, by ascending voter id."""
         value = {s: Fraction(s, self.den) for s in set(self.scaled)}
-        pairs = zip(self.holders, self.scaled)
-        return dict(sorted((i, value[s]) for holders, s in pairs for i in holders))
+        out = dict.fromkeys(range(1, sum(map(len, self.holders)) + 1))
+        for holders, s in zip(self.holders, self.scaled):
+            v = value[s]
+            for i in holders:
+                out[i] = v
+        return out
 
-    def move(self, p: str, new_value: Mapping[int, Fraction]) -> None:
+    def move(self, p: str, new_value: Mapping[int, int], scale: int) -> None:
         """Give each supporter of p whose scaled value is s the value
-        ``new_value[s]``."""
-        den = lcm(self.den, *(v.denominator for v in new_value.values()))
-        grow = den // self.den
+        ``new_value[s] / scale``."""
+        g = gcd(scale, *new_value.values())
+        least = scale // g  # the least common denominator of the new values
+        den = lcm(self.den, least)
+        grow, k = den // self.den, den // least
         # keyed by the old ints as they read once rescaled to the new den
-        target = {s * grow: v.numerator * (den // v.denominator) for s, v in new_value.items()}
+        target = {s * grow: v // g * k for s, v in new_value.items()}
         if grow != 1:
             self.den = den
             self.scaled = [s * grow for s in self.scaled]
@@ -269,7 +282,6 @@ def run_mes(
         return _ladder_rho(ladder, classes.den, inst.costs[p], units[p])
 
     trace = RuleTrace(rule="mes", mu_kind=mu.kind)
-    zero = Fraction(0)
     for p, best in _select(inst, candidates, rho, classes.stale, tie, trace):
         price = best * units[p]
         per = classes.histogram(p)
@@ -282,9 +294,8 @@ def run_mes(
         if paid * cost.denominator != cost.numerator * scale:
             raise InvariantError(f"MES charges for {p!r} do not sum to its cost")
         pay = {s: price if a == cap else Fraction(s, den) for s, a in charged.items() if a}
-        trace.payments[p] = classes.spread(p, pay)
-        classes.move(p, {s: Fraction(s * price.denominator - cap, scale) if a == cap else zero
-                         for s, a in charged.items()})
+        trace.payment_classes[p] = classes.spread(p, pay)
+        classes.move(p, {s: s * price.denominator - a for s, a in charged.items()}, scale)
     outcome = frozenset(p for _, p, _ in trace.selections)
     trace.voter_budgets = classes.per_voter()
     unselected = [p for p in inst.projects if p not in outcome]
@@ -336,8 +347,8 @@ def run_seq_phragmen(
         if paid * cost.denominator != cost.numerator * scale:
             raise InvariantError(f"Phragmen charges for {p!r} do not sum to its cost")
         charge = {s: Fraction(a, scale) for s, a in charged.items() if a > 0}
-        trace.payments[p] = classes.spread(p, charge)
-        classes.move(p, dict.fromkeys(per, t_min))
+        trace.payment_classes[p] = classes.spread(p, charge)
+        classes.move(p, dict.fromkeys(per, level), scale)
     outcome = frozenset(p for _, p, _ in trace.selections)
     trace.voter_loads = classes.per_voter()
     trace.exhaustive = inst.is_exhaustive(outcome)
@@ -450,7 +461,8 @@ def run_maximin_support(
     # the chosen projects (the blocked candidate itself is not paid for).
     reference = trace.blocking_loads or (balanced[chosen[-1]] if chosen else None)
     if reference is not None:
-        trace.payments = {p: dict(reference.loads[p]) for p in chosen}
+        trace.payment_classes = {p: [([i], a) for i, a in reference.loads[p].items()]
+                                 for p in chosen}
         trace.voter_loads = {
             i: sum((reference.loads[p].get(i, Fraction(0)) for p in chosen), Fraction(0))
             for i in inst.voters

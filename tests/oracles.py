@@ -139,7 +139,7 @@ def eager_mes(inst, mu, tie="lex"):
                 charges[i] = pay
             budgets[i] -= pay
         assert sum(charges.values(), Fraction(0)) == inst.costs[p]
-        trace.payments[p] = charges
+        trace.payment_classes[p] = [([i], amt) for i, amt in charges.items()]
         trace.selections.append((len(chosen) + 1, p, best))
         chosen.append(p)
     outcome = frozenset(chosen)
@@ -187,7 +187,7 @@ def eager_phragmen(inst, tie="lex", skip_blocked=False):
             charges[i] = t_min - loads[i]
             loads[i] = t_min
         assert sum(charges.values(), Fraction(0)) == inst.costs[p]
-        trace.payments[p] = {i: amt for i, amt in charges.items() if amt > 0}
+        trace.payment_classes[p] = [([i], amt) for i, amt in charges.items() if amt > 0]
         trace.selections.append((len(chosen) + 1, p, t_min))
         chosen.append(p)
         spent += inst.costs[p]
@@ -229,7 +229,8 @@ def eager_maximin(inst, tie="lex"):
     outcome = frozenset(chosen)
     reference = trace.blocking_loads or final_assignment
     if reference is not None:
-        trace.payments = {p: dict(reference.loads[p]) for p in chosen}
+        trace.payment_classes = {p: [([i], amt) for i, amt in reference.loads[p].items()]
+                                 for p in chosen}
         trace.voter_loads = {
             i: sum((reference.loads[p].get(i, Fraction(0)) for p in chosen), Fraction(0))
             for i in inst.voters

@@ -20,7 +20,7 @@ from pbprop.pricing import (
 )
 from pbprop.rules import run_gcr, run_maximin_support, run_mes, run_seq_phragmen
 from pbprop.satisfaction import cardinality_sat, cost_sat
-from test_pricing import _perturbed
+from test_pricing import _perturbed, assert_rebuilt_verify_alike
 
 
 def clustered_instance(seed):
@@ -135,8 +135,9 @@ def test_verify_matches_reference_per_voter(pool):
         for w, ps in systems:
             variants = [*_perturbed(inst, w, ps, rng), *_reordered(inst, w, ps)]
             for variant in variants:
-                assert verify_price_system(inst, w, variant) == \
-                    reference_verify_price_system(inst, w, variant)
+                report = verify_price_system(inst, w, variant)
+                assert report == reference_verify_price_system(inst, w, variant)
+                assert_rebuilt_verify_alike(inst, w, variant, report)
                 # a voter whose row differs from another holder of its ballot
                 odd_rows += any(
                     variant.payments.get(i, {}) != variant.payments.get(holders[0], {})

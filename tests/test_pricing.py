@@ -12,7 +12,7 @@ from pbprop.model import Instance, InstanceError, ParseError
 from pbprop.pricing import (
     ExtractionUnavailableError,
     PriceSystem,
-    _invert,
+    _trace_classes,
     extract_from_maximin_trace,
     extract_from_mes_trace,
     extract_from_phragmen_trace,
@@ -130,6 +130,43 @@ def _perturbed(inst, w, ps, rng):
     yield PriceSystem(budget=ps.budget, payments=short)
 
 
+def _rebuilt(inst, ps):
+    """``ps`` built again three ways: from its per-voter rows, and from
+    classes by ballot type and across ballots. By ballot type, a type whose
+    holders all pay one row, key order included, is one class holding the
+    instance's own holder list, and the holders of any other type are one
+    class each. Across ballots, the voters paying one row are one class,
+    whatever their ballots, listed in descending order."""
+    rows = ps.payments
+
+    def same(i, j):
+        return rows[i] == rows[j] and list(rows[i]) == list(rows[j])
+
+    by_type = []
+    for holders in inst.ballot_types().values():
+        listed = [i for i in holders if i in rows]
+        if listed == holders and all(same(i, holders[0]) for i in holders):
+            by_type.append((holders, rows[holders[0]]))
+        else:
+            by_type += [([i], rows[i]) for i in listed]
+    by_row: dict[tuple, list[int]] = {}
+    for i, row in rows.items():
+        by_row.setdefault(tuple(row.items()), []).append(i)
+    across = [(sorted(h, reverse=True), dict(key)) for key, h in by_row.items()]
+    return [PriceSystem(ps.budget, payments=rows), PriceSystem(ps.budget, classes=by_type),
+            PriceSystem(ps.budget, classes=across)]
+
+
+def assert_rebuilt_verify_alike(inst, w, ps, report):
+    """Per-voter-built and class-built copies of ``ps`` equal it and get
+    its report: verdicts, first witnesses and verdict order."""
+    for built in _rebuilt(inst, ps):
+        assert built == ps
+        got = verify_price_system(inst, w, built)
+        assert list(got.verdicts.items()) == list(report.verdicts.items())
+        assert got == report
+
+
 def test_verify_matches_reference_on_extracted_and_perturbed_systems():
     rng = random.Random(4)
     compared = Counter()
@@ -146,6 +183,7 @@ def test_verify_matches_reference_on_extracted_and_perturbed_systems():
             for variant in _perturbed(inst, w, ps, rng):
                 report = verify_price_system(inst, w, variant)
                 assert report == reference_verify_price_system(inst, w, variant)
+                assert_rebuilt_verify_alike(inst, w, variant, report)
                 for name, (passed, _) in report.verdicts.items():
                     compared[name, passed] += 1
     for name in ("C1", "C2", "C3", "C4", "C5", "C6"):
@@ -229,7 +267,7 @@ def test_maximin_extraction_repairs_payments_at_blocked_budget():
     assert (inst.n, inst.m) == (6, 3)
     w, tr = run_maximin_support(inst)
     budget = inst.n * tr.blocking_loads.max_load
-    own = PriceSystem(budget=budget, payments=_invert(tr.payments))
+    own = PriceSystem(budget=budget, classes=_trace_classes(tr))
     assert not verify_price_system(inst, w, own).ok(require_c6=True)
     ps = extract_from_maximin_trace(inst, tr)
     assert ps.budget == budget > inst.budget

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -396,8 +397,9 @@ def checked_classes(monkeypatch):
     one, off the selected project), and each project's histogram of scaled
     values and their sum must equal a recount over its approvers, voter by
     voter. A project whose histogram changed from the one before, rescaled
-    to the new denominator, must be stale. Records, per move, whether the
-    denominator grew."""
+    to the new denominator, must be stale. The denominator must grow only to
+    the lcm of the new values' reduced denominators. Records, per move,
+    whether it grew."""
     grew = []
     init, move = rules._VoterClasses.__init__, rules._VoterClasses.move
 
@@ -405,7 +407,7 @@ def checked_classes(monkeypatch):
         init(classes, inst, start)
         classes.checked_inst = inst
 
-    def checked(classes, p, new_value):
+    def checked(classes, p, new_value, scale):
         inst, den, old = classes.checked_inst, classes.den, list(classes.scaled)
         type_of = {ballot: t for t, ballot in enumerate(classes.ballots)}
 
@@ -414,11 +416,15 @@ def checked_classes(monkeypatch):
             return dict(Counter(values)), sum(values)
 
         before = {q: recount(q)[0] for q in inst.projects}
-        move(classes, p, new_value)
+        move(classes, p, new_value, scale)
+        # the common denominator grows only to the lcm of the reduced values
+        assert classes.den == lcm(den, *(Fraction(v, scale).denominator
+                                         for v in new_value.values())), p
         grow = classes.den // den
         assert len(classes.scaled) == len(inst.ballot_types()), p
         for t, s in enumerate(classes.scaled):
-            want = new_value[old[t]] if p in classes.ballots[t] else Fraction(old[t], den)
+            want = (Fraction(new_value[old[t]], scale) if p in classes.ballots[t]
+                    else Fraction(old[t], den))
             assert Fraction(s, classes.den) == want, (p, t)
         for q in inst.projects:
             histogram, held = recount(q)

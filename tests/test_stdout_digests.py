@@ -52,7 +52,7 @@ def jobs(workdir: Path) -> dict[str, list[str]]:
     path.write_text(emit_json(inst))
     mes_card, trace = run_mes(inst, cardinality_sat(inst))
     system = workdir / "ps.json"
-    system.write_text(json.dumps(extract_from_mes_trace(inst, trace).to_dict()))
+    system.write_text(extract_from_mes_trace(inst, trace).to_json())
     pb = workdir / "clustered.pb"
     pb.write_text(clustered_pb())
     outcome = ",".join(sorted(mes_card))
