@@ -70,33 +70,18 @@ def money_str_memo() -> Callable[[Fraction], str]:
     return text
 
 
-class VoterMap(Mapping):
+class VoterMap:
     """A JSON object keyed by voter, kept as classes of voters.
 
     Each (holders, value) pair of ``classes`` gives every voter in
     ``holders`` (ints; no voter in two pairs) the same value. ``dumps``
     writes it as the object keyed by ``str(voter)`` in ascending voter
-    order, building the text of each value once. As a read-only mapping it
-    is that object, expanded when it is first read."""
+    order, building the text of each value once."""
+
+    __slots__ = ("classes",)
 
     def __init__(self, classes: Sequence[tuple[Sequence[int], object]]):
         self.classes = classes
-        self._expanded: dict | None = None
-
-    def _items(self) -> dict:
-        if self._expanded is None:
-            per = {i: v for holders, v in self.classes for i in holders}
-            self._expanded = {str(i): per[i] for i in sorted(per)}
-        return self._expanded
-
-    def __getitem__(self, key: str):
-        return self._items()[key]
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def __len__(self) -> int:
-        return len(self._items())
 
 
 def dumps(obj) -> str:
@@ -109,10 +94,10 @@ def dumps(obj) -> str:
     the C ``encode_basestring_ascii`` and each container is one ``join``,
     because with ``indent`` the standard library falls back to its
     pure-Python encoder."""
-    return _dumps(obj, "\n", {})
+    return _dumps(obj, "\n")
 
 
-def _dumps(obj, nl: str, memo: dict) -> str:
+def _dumps(obj, nl: str) -> str:
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, dict):
@@ -120,17 +105,17 @@ def _dumps(obj, nl: str, memo: dict) -> str:
             return "{}"
         inner = nl + "  "
         return "{" + inner + ("," + inner).join([
-            _quote(k) + ": " + (_quote(v) if type(v) is str else _dumps(v, inner, memo))
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _dumps(v, inner))
             for k, v in obj.items()  # _quote raises TypeError on a non-str key
         ]) + nl + "}"
     if type(obj) is VoterMap:
-        return _voter_map(obj.classes, nl, memo)
+        return _voter_map(obj.classes, nl)
     if isinstance(obj, list):
         if not obj:
             return "[]"
         inner = nl + "  "
         return "[" + inner + ("," + inner).join([
-            _quote(v) if type(v) is str else _dumps(v, inner, memo) for v in obj
+            _quote(v) if type(v) is str else _dumps(v, inner) for v in obj
         ]) + nl + "]"
     if obj is None:
         return "null"
@@ -143,21 +128,12 @@ def _dumps(obj, nl: str, memo: dict) -> str:
     raise TypeError(f"cannot write {type(obj).__name__} as a JSON payload value")
 
 
-def _voter_map(classes, nl: str, memo: dict) -> str:
-    """One voter map's text, each class value written once. ``memo`` keeps
-    the text of each container value by ``id()``, with the value itself so
-    that the id stays taken, and reuses it wherever the same object recurs
-    at the same depth in this call."""
+def _voter_map(classes, nl: str) -> str:
+    """One voter map's text, each class value written once."""
     inner = nl + "  "
     text: dict[int, str] = {}
     for holders, value in classes:
-        if type(value) is str:
-            t = _quote(value)
-        else:
-            seen = memo.get(id(value))
-            if seen is None or seen[1] != inner:
-                seen = memo[id(value)] = (value, inner, _dumps(value, inner, memo))
-            t = seen[2]
+        t = _quote(value) if type(value) is str else _dumps(value, inner)
         if len(holders) == 1:
             text[holders[0]] = t
         else:
@@ -337,9 +313,12 @@ def parse_pabulib(text: str) -> Instance:
     if not meta_rows or [c.lower() for c in meta_rows[0]][:2] != ["key", "value"]:
         raise ParseError("META must start with a 'key;value' header")
     meta = {row[0]: row[1] if len(row) > 1 else "" for row in meta_rows[1:]}
+    keys = [row[0] for row in meta_rows[1:]]
     for key in ("num_projects", "num_votes", "budget", "vote_type"):
         if key not in meta:
             raise ParseError(f"missing META key {key}")
+        if keys.count(key) > 1:  # else the last value would silently win
+            raise ParseError(f"repeated META key {key}")
     if meta["vote_type"] != "approval":
         raise ParseError(f"unsupported vote type {meta['vote_type']!r}")
     try:

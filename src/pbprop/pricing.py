@@ -16,7 +16,7 @@ and a payment function d_i over projects. The six conditions checked here:
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,29 +41,17 @@ class ExtractionUnavailableError(RuntimeError):
 Row = Mapping[str, Fraction]  # project -> amount
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class PriceSystem:
     """Virtual budget B plus payment functions, kept as classes of voters.
 
     Each (holders, row) pair of ``classes`` gives every voter in ``holders``
-    the payment row ``row``; a voter in no class pays nothing. Build it from
-    classes, or from per-voter rows with ``payments=``, which are grouped
-    once: voters in ascending order, each joining the previous voter's class
-    when its row is equal, key order included (``from_json`` groups all
-    voters whose rows read the same). ``payments`` is the per-voter view,
-    and two systems are equal when their budgets and per-voter payments
-    are."""
+    the payment row ``row``; a voter in no class pays nothing. ``payments``
+    is the per-voter view, and two systems are equal when their budgets and
+    per-voter payments are."""
 
     budget: Fraction  # B; each voter holds B/n
     classes: list[tuple[list[int], Row]]
-
-    def __init__(self, budget: Fraction, payments: Mapping[int, Row] | None = None,
-                 classes: Iterable[tuple[list[int], Row]] | None = None):
-        if (payments is None) == (classes is None):
-            raise TypeError("PriceSystem takes either payments or classes")
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "classes",
-                           _grouped(payments) if classes is None else list(classes))
 
     @cached_property
     def payments(self) -> dict[int, Row]:
@@ -75,12 +63,6 @@ class PriceSystem:
         if not isinstance(other, PriceSystem):
             return NotImplemented
         return self.budget == other.budget and self.payments == other.payments
-
-    def spent(self, voter: int) -> Fraction:
-        return sum(self.payments.get(voter, {}).values(), Fraction(0))
-
-    def leftover(self, voter: int, n: int) -> Fraction:
-        return self.budget / n - self.spent(voter)
 
     def to_dict(self) -> dict:
         """The JSON object of ``to_json``: exact "p/q" amounts, sorted keys.
@@ -115,21 +97,6 @@ class PriceSystem:
                        classes=[(sorted(holders), row) for holders, row in rows.values()])
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ParseError(f"malformed price system: {exc!r}") from exc
-
-
-def _grouped(payments: Mapping[int, Row]) -> list[tuple[list[int], Row]]:
-    """Per-voter rows as classes of consecutive voters with equal rows.
-    Rows are compared, not hashed: hashing a Fraction is slow."""
-    classes: list[tuple[list[int], Row]] = []
-    last = None
-    for i in sorted(payments):
-        row = payments[i]
-        if row is last or (row == last and list(row) == list(last)):
-            classes[-1][0].append(i)
-        else:
-            classes.append(([i], row))
-            last = row
-    return classes
 
 
 @dataclass
@@ -355,7 +322,7 @@ def extract_from_maximin_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
         raise ExtractionUnavailableError(
             "no condition-respecting payments exist at the blocked budget"
         )
-    return PriceSystem(budget=budget, payments=_payments(pay_vars, x))
+    return PriceSystem(budget=budget, classes=_payments(pay_vars, x))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +352,7 @@ def find_price_system(
     status, x, value = _solve_price_lp(inst, w, pay_vars, lower, require_c6)
     if status != "optimal" or (require_b_strict and value <= 0):
         return None
-    return PriceSystem(budget=x[1], payments=_payments(pay_vars, x))
+    return PriceSystem(budget=x[1], classes=_payments(pay_vars, x))
 
 
 def _payment_vars(inst: Instance, w: list[str]) -> list[tuple[int, str]]:
@@ -393,12 +360,14 @@ def _payment_vars(inst: Instance, w: list[str]) -> list[tuple[int, str]]:
     return [(i, p) for p in w for i in sorted(inst.approvers(p))]
 
 
-def _payments(pay_vars, x) -> dict[int, dict[str, Fraction]]:
+def _payments(pay_vars, x) -> list[tuple[list[int], dict[str, Fraction]]]:
+    """The LP's payments as one ([voter], row) class per paying voter, by
+    ascending voter."""
     payments: dict[int, dict[str, Fraction]] = {}
     for (i, p), amount in zip(pay_vars, x[2:]):
         if amount > 0:
             payments.setdefault(i, {})[p] = amount
-    return payments
+    return [([i], payments[i]) for i in sorted(payments)]
 
 
 def _solve_price_lp(

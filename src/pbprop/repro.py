@@ -211,10 +211,7 @@ def _case_ejr1_incompatibility() -> list[CheckResult]:
 def _case_priceable_not_pjrx() -> list[CheckResult]:
     inst = priceable_not_pjrx_example()
     checks: list[CheckResult] = []
-    ps = PriceSystem(
-        budget=Fraction(9, 2),
-        payments={1: {"p1": Fraction(2)}, 2: {"p1": Fraction(2)}},
-    )
+    ps = PriceSystem(budget=Fraction(9, 2), classes=[([1, 2], {"p1": Fraction(2)})])
     report = verify_price_system(inst, {"p1"}, ps)
     _check(checks, "B=4.5 system passes the five core conditions with B > b",
            "PAPER", report.ok(require_b_strict=True), report.verdicts)

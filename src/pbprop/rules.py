@@ -35,13 +35,6 @@ class LoadAssignment:
     loads: dict[str, dict[int, Fraction]]  # project -> voter -> load
     max_load: Fraction
 
-    def voter_totals(self) -> dict[int, Fraction]:
-        totals: dict[int, Fraction] = {}
-        for per_voter in self.loads.values():
-            for i, amount in per_voter.items():
-                totals[i] = totals.get(i, Fraction(0)) + amount
-        return totals
-
 
 @dataclass
 class RuleTrace:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import CapabilityError, GuardExceededError
-from .model import Instance, parse_money
+from .model import Instance, ParseError, parse_money
 
 RATIONALIZE_DIGITS = 12
 
@@ -148,7 +148,12 @@ def table_sat(values: Mapping[str, object]) -> SatisfactionFunction:
 
 def cost_map_sat(inst: Instance, cost_map: Mapping[object, object]) -> SatisfactionFunction:
     """Additive function induced by a map from cost to satisfaction value."""
-    parsed = {parse_money(c): parse_money(v) for c, v in cost_map.items()}
+    parsed: dict[Fraction, Fraction] = {}
+    for c, v in cost_map.items():
+        cost = parse_money(c)
+        if cost in parsed:  # "2" and "2.0" name one cost
+            raise ParseError(f"cost map names cost {cost} twice")
+        parsed[cost] = parse_money(v)
     table = {}
     for p in inst.projects:
         c = inst.costs[p]

@@ -451,6 +451,23 @@ def _dense_run(a, rhs, basis, cost, allowed):
 # payment dicts, voter by voter, as the conditions are stated.
 
 
+def per_voter_system(budget, payments):
+    """A price system built voter by voter: one class per voter of
+    ``payments`` (voter -> row), by ascending voter."""
+    from pbprop.pricing import PriceSystem
+
+    return PriceSystem(budget, [([i], payments[i]) for i in sorted(payments)])
+
+
+def expanded_system(ps):
+    """The JSON object of a price system as written voter by voter."""
+    from pbprop.model import money_str
+
+    return {"B": money_str(ps.budget),
+            "payments": {str(i): {p: money_str(v) for p, v in sorted(row.items())}
+                         for i, row in sorted(ps.payments.items())}}
+
+
 def reference_verify_price_system(inst, outcome, ps):
     """Verdicts and first witnesses of C1-C6, as pbprop.pricing must give."""
     from pbprop.model import InstanceError
@@ -468,6 +485,12 @@ def reference_verify_price_system(inst, outcome, ps):
                 raise InstanceError(f"negative payment by voter {i} on {p!r}")
     verdicts = {}
 
+    def spent(i):
+        return sum(ps.payments.get(i, {}).values(), Fraction(0))
+
+    def leftover(i):
+        return ps.budget / inst.n - spent(i)
+
     def fail_first(name, witness):
         if name not in verdicts:
             verdicts[name] = (False, witness)
@@ -478,7 +501,7 @@ def reference_verify_price_system(inst, outcome, ps):
                 fail_first("C1", (i, p))
             if amount > 0 and p not in w:
                 fail_first("C2", (i, p))
-        if ps.spent(i) > ps.budget / inst.n:
+        if spent(i) > ps.budget / inst.n:
             fail_first("C3", (i,))
     for p in sorted(w):
         paid = sum((ps.payments.get(i, {}).get(p, Fraction(0)) for i in inst.voters),
@@ -487,7 +510,7 @@ def reference_verify_price_system(inst, outcome, ps):
             fail_first("C4", (p,))
     unchosen = [p for p in inst.projects if p not in w]
     for p in unchosen:
-        pooled = sum((ps.leftover(i, inst.n) for i in inst.approvers(p)), Fraction(0))
+        pooled = sum((leftover(i) for i in inst.approvers(p)), Fraction(0))
         if pooled > inst.costs[p]:
             fail_first("C5", (p,))
     for pj in unchosen:

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import eager_maximin, eager_mes, eager_phragmen, reference_verify_price_system
+from oracles import (
+    eager_maximin, eager_mes, eager_phragmen, per_voter_system, reference_verify_price_system,
+)
 from pbprop.axioms import check_ejr, check_pjr1
 from pbprop.cli import main
 from pbprop.errors import GuardExceededError
 from pbprop.model import Instance, InstanceError, emit_json, parse_pabulib
 from pbprop.pricing import (
-    PriceSystem,
     extract_from_maximin_trace,
     extract_from_mes_trace,
     extract_from_phragmen_trace,
@@ -112,7 +113,7 @@ def _reordered(inst, w, ps):
             payments = {i: dict(per) for i, per in ps.payments.items()}
             payments[holders[0]] = {first: Fraction(1), second: Fraction(1)}
             payments[holders[1]] = {second: Fraction(1), first: Fraction(1)}
-            yield PriceSystem(budget=ps.budget, payments=payments)
+            yield per_voter_system(ps.budget, payments)
         return
 
 
@@ -149,7 +150,7 @@ def test_verify_matches_reference_per_voter(pool):
 def test_reordered_rows_keep_the_lowest_holders_witness():
     inst = Instance.create({"a": 1, "b": 1, "c": 1}, [{"a"}, {"a"}, {"a"}], 2)
     for first, second in (("b", "c"), ("c", "b")):
-        ps = PriceSystem(budget=Fraction(3), payments={
+        ps = per_voter_system(Fraction(3), {
             1: {"a": Fraction(1, 3)},
             2: {first: Fraction(1, 3), second: Fraction(1, 3)},
             3: {second: Fraction(1, 3), first: Fraction(1, 3)},

@@ -70,6 +70,14 @@ def test_run_reads_pabulib_without_extension(capsys, tmp_path):
     assert json.loads(out)["outcome"] == ["a", "b"]
 
 
+def test_run_refuses_pabulib_with_a_repeated_meta_key(capsys, tmp_path):
+    # read as a dict, the file would run with the last budget, 100
+    path = tmp_path / "instance.pb"
+    path.write_text(PB_TEXT.replace("budget;2\n", "budget;2\nbudget;100\n"))
+    code, out, err = run_cli(capsys, "run", "--rule", "mes", str(path))
+    assert (code, out, err) == (1, "", "pb: repeated META key budget\n")
+
+
 def test_run_refuses_pabulib_with_a_repeated_voter(capsys, tmp_path):
     # counted twice, voter 1 would approve a and b alone
     path = tmp_path / "instance.pb"
@@ -414,6 +422,13 @@ def test_table_missing_a_project_is_usage_error(capsys, inst_file, tmp_path, ver
     code, out, err = run_cli(capsys, *argv)
     assert code == 64 and out == ""
     assert err == "pb: satisfaction table has no value for project 'p2'\n"
+
+
+def test_cost_map_with_two_keys_for_one_cost_is_parse_error(capsys, inst_file, tmp_path):
+    path = tmp_path / "cm.json"
+    path.write_text('{"3": "1", "3.0": "5", "1": "1"}')
+    code, out, err = run_cli(capsys, "run", "--rule", "mes", "--sat", f"costmap:{path}", inst_file)
+    assert (code, out, err) == (1, "", "pb: cost map names cost 3 twice\n")
 
 
 @pytest.mark.parametrize("selector", ["table", "costmap"])

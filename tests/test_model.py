@@ -130,6 +130,10 @@ def _padded(text):
         (lambda s: s.replace("1;p1,p2", "1; p1 , p9 "), "vote references unknown projects ['p9']"),
         (lambda s: s.replace("2;p2", "1;p2"), "repeated voter_id '1'"),
         (lambda s: s.replace("2;p2", ";p2"), "missing voter_id"),
+        (lambda s: s.replace("budget;7/2\n", "budget;7/2\nbudget;100\n"),
+         "repeated META key budget"),
+        (lambda s: s.replace("vote_type;approval\n", "vote_type;approval\n" * 2),
+         "repeated META key vote_type"),
     ],
 )
 def test_parse_pabulib_reads_stripped_fields(mangle, message):
@@ -139,6 +143,11 @@ def test_parse_pabulib_reads_stripped_fields(mangle, message):
         with pytest.raises(ParseError) as err:
             parse_pabulib(text)
         assert str(err.value) == message
+
+
+def test_parse_pabulib_ignores_repeated_unread_meta_keys():
+    text = PB_TEXT.replace("key;value\n", "key;value\ncomment;a\ncomment;b\n")
+    assert parse_pabulib(text) == parse_pabulib(PB_TEXT)
 
 
 @pytest.mark.parametrize(

@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_instance
-from oracles import reference_verify_price_system
+from oracles import expanded_system, per_voter_system, reference_verify_price_system
 from pbprop.cli import _trace_json
 from pbprop.model import (
     GenParams, Instance, InstanceError, VoterMap, dumps, generate_random, money_str,
 )
 from pbprop.pricing import (
     PriceSystem,
+    _trace_classes,
     extract_from_maximin_trace,
     extract_from_mes_trace,
     extract_from_phragmen_trace,
@@ -64,13 +65,6 @@ def systems(inst, maximin=True):
     return out
 
 
-def expanded_system(ps):
-    """The price-system object as it was built voter by voter."""
-    return {"B": money_str(ps.budget),
-            "payments": {str(i): {p: money_str(v) for p, v in sorted(row.items())}
-                         for i, row in sorted(ps.payments.items())}}
-
-
 def pools():
     return [(inst, True) for inst in uniform_pool()] + [
         (inst, inst.n < 200) for inst in clustered_pool()]
@@ -88,7 +82,7 @@ def test_trace_payload_writes_as_its_expanded_object(inst, maximin):
             p: {str(i): money_str(a) for i, a in sorted(per.items())}
             for p, per in sorted(trace.payments.items())})
         assert dumps(payload) == json.dumps(expanded, indent=2)
-        assert payload == expanded
+        assert json.loads(dumps(payload)) == expanded
 
 
 @pytest.mark.parametrize("inst, maximin", pools())
@@ -97,21 +91,20 @@ def test_price_system_writes_as_its_expanded_object(inst, maximin):
     assert found
     for _, ps in found:
         assert ps.to_json() == json.dumps(expanded_system(ps), indent=2)
-        assert ps.to_dict() == expanded_system(ps)
+        assert json.loads(dumps(ps.to_dict())) == expanded_system(ps)
         assert PriceSystem.from_json(ps.to_json()) == ps
 
 
 def test_empty_rows_and_one_voter_write_as_expanded():
-    one = PriceSystem(Fraction(2), payments={1: {}})
+    one = per_voter_system(Fraction(2), {1: {}})
     assert one.to_json() == json.dumps({"B": "2", "payments": {"1": {}}}, indent=2)
     row = {"b": Fraction(1, 3), "a": Fraction(2)}
-    by_voter = PriceSystem(Fraction(7), payments={4: {}, 1: row, 3: {}, 2: dict(row)})
+    by_voter = per_voter_system(Fraction(7), {4: {}, 1: row, 3: {}, 2: dict(row)})
     by_class = PriceSystem(Fraction(7), classes=[([3, 4], {}), ([1, 2], row), ([], {"c": 1})])
     want = json.dumps(expanded_system(by_voter), indent=2)
     assert by_voter.to_json() == by_class.to_json() == want
     assert by_voter == by_class
-    assert [holders for holders, _ in by_voter.classes] == [[1, 2], [3, 4]]
-    assert PriceSystem(Fraction(1), payments={}).to_json() == '{\n  "B": "1",\n  "payments": {}\n}'
+    assert PriceSystem(Fraction(1), []).to_json() == '{\n  "B": "1",\n  "payments": {}\n}'
 
 
 def test_voter_map_value_recurring_at_two_depths():
@@ -120,7 +113,7 @@ def test_voter_map_value_recurring_at_two_depths():
                "y": [{"z": VoterMap([([5, 9], row)])}, VoterMap([])]}
     expanded = {"x": {"1": "t", "2": row}, "y": [{"z": {"5": row, "9": row}}, {}]}
     assert dumps(payload) == json.dumps(expanded, indent=2)
-    assert json.loads(dumps(payload)) == payload
+    assert json.loads(dumps(payload)) == expanded
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +136,26 @@ def test_rule_classes_are_ballot_types_and_views_are_sorted():
                 assert len(voters) == sum(len(h) for h, _ in pairs)
 
 
-def test_price_system_needs_payments_or_classes():
-    with pytest.raises(TypeError):
-        PriceSystem(Fraction(1))
-    with pytest.raises(TypeError):
-        PriceSystem(Fraction(1), payments={}, classes=[])
-
-
-def test_per_voter_rows_group_only_when_equal_in_key_order():
-    a, b = Fraction(1, 2), Fraction(1, 3)
-    ps = PriceSystem(Fraction(3), payments={
-        3: {"x": a, "y": b}, 1: {"x": a, "y": b}, 2: {"x": a, "y": b},
-        4: {"y": b, "x": a}, 5: {"y": b, "x": a}, 6: {"x": a}})
-    assert [holders for holders, _ in ps.classes] == [[1, 2, 3], [4, 5], [6]]
-    assert list(ps.payments) == [1, 2, 3, 4, 5, 6]
-    assert list(ps.payments[4]) == ["y", "x"]
+def test_lp_payments_are_one_class_per_paying_voter_by_ascending_voter():
+    # voters 2, 4 and 6 pay alike below; in make_instance(180) voter 3 pays
+    # for the first chosen project and voter 2 only for a later one
+    equal_rows = Instance.create(
+        {"p1": Fraction(15, 4), "p2": Fraction(13, 4), "p3": Fraction(3, 2)},
+        [{"p1", "p2"}, {"p1", "p2", "p3"}, {"p1", "p2"}, {"p1", "p2"}, {"p1", "p3"}, {"p1", "p2"}],
+        5)
+    for inst in (equal_rows, make_instance(180)):
+        w, trace = run_maximin_support(inst)
+        # the blocked configuration's own loads fail, so maximin re-splits them
+        own = PriceSystem(inst.n * trace.blocking_loads.max_load, _trace_classes(trace))
+        assert not verify_price_system(inst, w, own).ok(require_c6=True, require_b_strict=False)
+        resplit = extract_from_maximin_trace(inst, trace)
+        found = [resplit] + [find_price_system(inst, w, require_c6=c6, require_b_strict=False)
+                             for c6 in (False, True)]
+        for ps in found:
+            assert ps.classes == [([i], row) for i, row in ps.payments.items()]
+        if inst is equal_rows:
+            assert [holders for holders, _ in resplit.classes] == [[1], [2], [4], [5], [6]]
+            assert resplit.payments[2] == resplit.payments[4] == resplit.payments[6]
 
 
 def test_from_json_groups_voters_whose_rows_read_the_same():
@@ -196,7 +194,7 @@ def test_a_class_mixing_ballots_is_judged_voter_by_voter():
     ps = PriceSystem(Fraction(3), classes=[([4, 3, 1, 2], row)])
     report = verify_price_system(inst, {"a", "b"}, ps)
     assert report.verdicts["C1"] == (False, (1, "b"))
-    per_voter = PriceSystem(Fraction(3), payments=dict.fromkeys(range(1, 5), row))
+    per_voter = per_voter_system(Fraction(3), dict.fromkeys(range(1, 5), row))
     want = reference_verify_price_system(inst, {"a", "b"}, per_voter)
     assert report == want
     assert list(report.verdicts.items()) == list(want.verdicts.items())
@@ -232,7 +230,7 @@ def test_verdict_order_is_that_of_a_voter_by_voter_check():
             if rows:  # one payer overspends and pays an unchosen project
                 i = rng.choice(sorted(rows))
                 rows[i][rng.choice(inst.projects)] = inst.budget
-            variant = PriceSystem(ps.budget * rng.choice((1, Fraction(1, 2))), payments=rows)
+            variant = per_voter_system(ps.budget * rng.choice((1, Fraction(1, 2))), rows)
             got = verify_price_system(inst, w, variant)
             want = reference_verify_price_system(inst, w, variant)
             assert list(got.verdicts.items()) == list(want.verdicts.items())

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import MALFORMED_PRICE_SYSTEMS, make_instance
-from oracles import reference_verify_price_system
+from oracles import expanded_system, per_voter_system, reference_verify_price_system
 from pbprop.errors import GuardExceededError
-from pbprop.model import Instance, InstanceError, ParseError
+from pbprop.model import Instance, InstanceError, ParseError, dumps
 from pbprop.pricing import (
     ExtractionUnavailableError,
     PriceSystem,
@@ -36,7 +36,7 @@ def test_from_json_rejects_malformed(case):
 def test_to_dict_is_the_json_object(priceable_example):
     inst = priceable_example
     ps = extract_from_mes_trace(inst, run_mes(inst, cost_sat(inst))[1])
-    assert json.loads(ps.to_json()) == ps.to_dict()
+    assert json.loads(dumps(ps.to_dict())) == expanded_system(ps)
     assert PriceSystem.from_json(ps.to_json()) == ps
 
 
@@ -46,10 +46,7 @@ def test_to_dict_is_the_json_object(priceable_example):
 
 def test_verify_reference_system(priceable_example):
     inst = priceable_example
-    ps = PriceSystem(
-        budget=Fraction(9, 2),
-        payments={1: {"p1": Fraction(2)}, 2: {"p1": Fraction(2)}},
-    )
+    ps = per_voter_system(Fraction(9, 2), {1: {"p1": Fraction(2)}, 2: {"p1": Fraction(2)}})
     report = verify_price_system(inst, {"p1"}, ps)
     for name in ("C1", "C2", "C3", "C4", "C5"):
         assert report.verdicts[name] == (True, None)
@@ -63,25 +60,23 @@ def test_verify_reference_system(priceable_example):
 def test_verify_condition_witnesses():
     inst = Instance.create({"a": 2, "b": 1}, [{"a"}, {"b"}], 3)
     # voter 2 pays for a project they do not approve
-    ps = PriceSystem(budget=Fraction(3), payments={
-        1: {"a": Fraction(1)}, 2: {"a": Fraction(1)}})
+    ps = per_voter_system(Fraction(3), {1: {"a": Fraction(1)}, 2: {"a": Fraction(1)}})
     rep = verify_price_system(inst, {"a"}, ps)
     assert rep.verdicts["C1"] == (False, (2, "a"))
     # paying for an unchosen project
-    ps = PriceSystem(budget=Fraction(3), payments={
-        1: {"a": Fraction(2)}, 2: {"b": Fraction(1)}})
+    ps = per_voter_system(Fraction(3), {1: {"a": Fraction(2)}, 2: {"b": Fraction(1)}})
     rep = verify_price_system(inst, {"a"}, ps)
     assert rep.verdicts["C2"] == (False, (2, "b"))
     # overspending the per-voter share
-    ps = PriceSystem(budget=Fraction(2), payments={1: {"a": Fraction(2)}})
+    ps = per_voter_system(Fraction(2), {1: {"a": Fraction(2)}})
     rep = verify_price_system(inst, {"a"}, ps)
     assert rep.verdicts["C3"] == (False, (1,))
     # underfunded chosen project
-    ps = PriceSystem(budget=Fraction(3), payments={1: {"a": Fraction(1)}})
+    ps = per_voter_system(Fraction(3), {1: {"a": Fraction(1)}})
     rep = verify_price_system(inst, {"a"}, ps)
     assert rep.verdicts["C4"] == (False, ("a",))
     # leftover money covers the unchosen project
-    ps = PriceSystem(budget=Fraction(4), payments={1: {"a": Fraction(2)}})
+    ps = per_voter_system(Fraction(4), {1: {"a": Fraction(2)}})
     rep = verify_price_system(inst, {"a"}, ps)
     assert rep.verdicts["C5"] == (False, ("b",))
 
@@ -90,21 +85,18 @@ def test_verify_rejects_malformed():
     inst = Instance.create({"a": 1}, [{"a"}], 1)
     with pytest.raises(InstanceError):
         verify_price_system(
-            inst, {"a"}, PriceSystem(budget=Fraction(1),
-                                     payments={1: {"zzz": Fraction(1)}})
+            inst, {"a"}, per_voter_system(Fraction(1), {1: {"zzz": Fraction(1)}})
         )
     with pytest.raises(InstanceError):
         verify_price_system(
-            inst, {"a"}, PriceSystem(budget=Fraction(1),
-                                     payments={1: {"a": Fraction(-1)}})
+            inst, {"a"}, per_voter_system(Fraction(1), {1: {"a": Fraction(-1)}})
         )
 
 
 def test_verify_refuses_an_outcome_over_the_budget():
     # the payments alone would pass every condition at B = 2
     inst = Instance.create({"a": 1, "b": 1}, [{"a", "b"}, {"a", "b"}], 1)
-    ps = PriceSystem(budget=Fraction(2), payments={1: {"a": Fraction(1)},
-                                                   2: {"b": Fraction(1)}})
+    ps = per_voter_system(Fraction(2), {1: {"a": Fraction(1)}, 2: {"b": Fraction(1)}})
     with pytest.raises(InstanceError, match="^outcome exceeds the budget$"):
         verify_price_system(inst, {"a", "b"}, ps)
 
@@ -123,16 +115,16 @@ def _perturbed(inst, w, ps, rng):
             moved = {v: dict(per) for v, per in ps.payments.items()}
             amount = moved[i].pop(p)
             moved[i][q] = moved[i].get(q, Fraction(0)) + amount
-            yield PriceSystem(budget=ps.budget, payments=moved)
-    yield PriceSystem(budget=ps.budget * Fraction(3, 4), payments=ps.payments)
+            yield per_voter_system(ps.budget, moved)
+    yield per_voter_system(ps.budget * Fraction(3, 4), ps.payments)
     short = {v: dict(per) for v, per in ps.payments.items()}
     short[i][p] = max(short[i][p] - Fraction(1, 7), Fraction(0))
-    yield PriceSystem(budget=ps.budget, payments=short)
+    yield per_voter_system(ps.budget, short)
 
 
 def _rebuilt(inst, ps):
-    """``ps`` built again three ways: from its per-voter rows, and from
-    classes by ballot type and across ballots. By ballot type, a type whose
+    """``ps`` built again three ways: one class per voter, and classes by
+    ballot type and across ballots. By ballot type, a type whose
     holders all pay one row, key order included, is one class holding the
     instance's own holder list, and the holders of any other type are one
     class each. Across ballots, the voters paying one row are one class,
@@ -153,7 +145,7 @@ def _rebuilt(inst, ps):
     for i, row in rows.items():
         by_row.setdefault(tuple(row.items()), []).append(i)
     across = [(sorted(h, reverse=True), dict(key)) for key, h in by_row.items()]
-    return [PriceSystem(ps.budget, payments=rows), PriceSystem(ps.budget, classes=by_type),
+    return [per_voter_system(ps.budget, rows), PriceSystem(ps.budget, classes=by_type),
             PriceSystem(ps.budget, classes=across)]
 
 
@@ -223,10 +215,8 @@ def test_mes_extraction_c5_strict_slack():
         ps = extract_from_mes_trace(inst, tr)
         for p in inst.projects:
             if p not in w:
-                pooled = sum(
-                    (ps.leftover(i, inst.n) for i in inst.approvers(p)),
-                    Fraction(0),
-                )
+                pooled = sum((ps.budget / inst.n - sum(ps.payments.get(i, {}).values())
+                              for i in inst.approvers(p)), Fraction(0))
                 assert pooled < inst.costs[p]
 
 
@@ -356,10 +346,7 @@ def test_find_rejects_infeasible_outcome():
 
 
 def test_price_system_json_roundtrip():
-    ps = PriceSystem(
-        budget=Fraction(9, 2),
-        payments={1: {"p1": Fraction(2)}, 2: {"p1": Fraction(1, 3)}},
-    )
+    ps = per_voter_system(Fraction(9, 2), {1: {"p1": Fraction(2)}, 2: {"p1": Fraction(1, 3)}})
     again = PriceSystem.from_json(ps.to_json())
     assert again.budget == ps.budget
     assert again.payments == {1: {"p1": Fraction(2)}, 2: {"p1": Fraction(1, 3)}}

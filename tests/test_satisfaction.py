@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_instance
 import pbprop
 from pbprop.errors import CapabilityError, GuardExceededError
-from pbprop.model import Instance
+from pbprop.model import Instance, ParseError
 from pbprop.repro import priceable_not_pjrx_example, table_mu_example
 from pbprop.satisfaction import (
     SatisfactionFunction,
@@ -127,6 +127,11 @@ def test_table_and_cost_map(inst):
     assert cm.value({"a", "b"}) == Fraction(9, 8)
     with pytest.raises(ValueError):
         cost_map_sat(inst, {"4": 1})  # costs 1 and 9/4 unmapped
+
+
+def test_cost_map_refuses_two_keys_for_one_cost(inst):
+    with pytest.raises(ParseError, match="^cost map names cost 4 twice$"):
+        cost_map_sat(inst, {"4": 1, "1": "1/8", "9/4": "2", "4.0": 5})
 
 
 def test_voter_satisfaction_restricts_to_ballot():
