@@ -11,7 +11,8 @@ checkout's ``perfbench/`` and parsed by each code from the same JSON or
 both codes, back to back, in an order that alternates from one instance and
 one round to the next. Each pair of runs must give the same outcome and
 equal traces, compared as ``baseline_rows.canonical`` reads them: payments
-expanded per voter and sorted by voter, every other field as it is. Prints,
+expanded per voter and sorted by voter, the per-voter budgets and loads that
+older traces kept left out, every other field as it is. Prints,
 per workload and rule, the median seconds of a round in each code and the
 rounds in which this checkout was faster.
 

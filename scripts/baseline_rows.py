@@ -44,21 +44,27 @@ ROWS = {
 }
 
 
+# Per-voter state that older traces kept next to their payments: a voter's
+# MES budget or Phragmen load follows from the payments, and maximin's
+# blocked loads from ``blocking``, so they are left out of the compared view.
+DERIVED = ("voter_budgets", "voter_loads", "blocking_loads")
+
+
 def canonical(trace) -> dict:
     """A rule trace as its fields, with the payments expanded per voter and
     sorted by voter, so that a trace that keeps its payments per class of
-    voters reads the same as one that keeps them per voter."""
-    view = {k: v for k, v in vars(trace).items() if k not in ("payments", "payment_classes")}
+    voters reads the same as one that keeps them per voter. The ``DERIVED``
+    fields are left out, so a trace that keeps them reads the same as one
+    that does not."""
+    skip = ("payments", "payment_classes", *DERIVED)
+    view = {k: v for k, v in vars(trace).items() if k not in skip}
     view["payments"] = {p: dict(sorted(per.items())) for p, per in trace.payments.items()}
     return view
 
 
 def trace_sha256(trace) -> str:
     """SHA-256 of the canonical trace, amounts as exact "p/q" strings."""
-    def plain(obj):  # a Fraction, or the LoadAssignment of a maximin block
-        return str(obj) if isinstance(obj, Fraction) else vars(obj)
-
-    return hashlib.sha256(json.dumps(canonical(trace), default=plain).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(canonical(trace), default=str).encode()).hexdigest()
 
 
 def run_row(name: str) -> None:

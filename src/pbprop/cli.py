@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except pricing.ExtractionUnavailableError as exc:  # no system to report
         print(f"pb: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ParseError, InstanceError, OSError) as exc:
+    except (ParseError, InstanceError, OSError, UnicodeDecodeError) as exc:
         print(f"pb: {exc}", file=sys.stderr)
         return EXIT_IO
     except (CapabilityError, ValueError) as exc:

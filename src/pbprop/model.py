@@ -244,9 +244,6 @@ class Instance:
         self._check_known(s)
         return sum((self.costs[p] for p in s), Fraction(0))
 
-    def is_outcome(self, s: Iterable[str]) -> bool:
-        return self.total_cost(s) <= self.budget
-
     def is_exhaustive(self, s: Iterable[str]) -> bool:
         s = set(s)
         spent = self.total_cost(s)
@@ -263,9 +260,6 @@ class Instance:
         """Distinct ballots in order of first appearance, each mapped to its
         holders in ascending order. Shared by every caller: do not mutate."""
         return self._types
-
-    def is_unit_cost(self) -> bool:
-        return all(c == 1 for c in self.costs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +329,8 @@ def parse_pabulib(text: str) -> Instance:
         if len(row) <= max(col_id, col_cost):
             raise ParseError(f"malformed PROJECTS row {row!r}")
         pid = row[col_id]
-        if pid in costs:
-            raise ParseError(f"duplicate project id {pid!r}")
+        if not pid or pid in costs:
+            raise ParseError(f"duplicate project id {pid!r}" if pid else "missing project_id")
         costs[pid] = parse_money(row[col_cost])
     if len(costs) != num_projects:
         raise ParseError(

@@ -277,39 +277,38 @@ def extract_from_mes_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
     return PriceSystem(budget=budget, classes=_trace_classes(trace))
 
 
-def extract_from_phragmen_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
-    """Price system from a Phragmen run that stopped at a blocking project:
-    hypothetically apply the blocking load update, then B = n * max load."""
-    if trace.rule != "phragmen":
-        raise ExtractionUnavailableError("trace does not come from a Phragmen run")
+def _blocked_budget(inst: Instance, trace: RuleTrace, rule: str, name: str) -> Fraction:
+    """B = n times the value at which a Phragmen or maximin run stopped.
+    Both values only rise during a run, so no voter's load exceeds the
+    blocking value, and loading the blocked project would raise its
+    approvers to exactly that value: it is the largest voter load."""
+    if trace.rule != rule:
+        raise ExtractionUnavailableError(f"trace does not come from a {name} run")
     if trace.blocking is None:
         raise ExtractionUnavailableError(
             "no blocking project: the run exhausted its candidates"
         )
-    blocked, t_val = trace.blocking
-    loads = dict(trace.voter_loads)
-    for i in inst.approvers(blocked):
-        loads[i] = t_val
-    budget = inst.n * max(loads.values())
+    return inst.n * trace.blocking[1]
+
+
+def extract_from_phragmen_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
+    """Price system from a Phragmen run that stopped at a blocking project:
+    the trace's payments and B = n times the blocking load t, the largest
+    load once the blocked project's approvers were raised to t."""
+    budget = _blocked_budget(inst, trace, "phragmen", "Phragmen")
     return PriceSystem(budget=budget, classes=_trace_classes(trace))
 
 
 def extract_from_maximin_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
     """Price system from a maximin support run that stopped at a blocking
-    project: B = n * max load of the blocked balanced configuration. The
+    project: B = n times the blocked configuration's balanced max load. The
     configuration's own loads (restricted to the chosen projects) serve as
     payments when they respect every condition; a balanced optimum is not
     unique, though, and an arbitrary one may overcharge the approvers of a
     cheap unchosen project, so otherwise the payments are re-split by an
     exact feasibility solve at the same budget."""
-    if trace.rule != "maximin":
-        raise ExtractionUnavailableError("trace does not come from a maximin run")
-    if trace.blocking is None or trace.blocking_loads is None:
-        raise ExtractionUnavailableError(
-            "no blocking project: the run exhausted its candidates"
-        )
+    budget = _blocked_budget(inst, trace, "maximin", "maximin")
     w = sorted(trace.payment_classes)
-    budget = inst.n * trace.blocking_loads.max_load
     ps = PriceSystem(budget=budget, classes=_trace_classes(trace))
     report = verify_price_system(inst, w, ps)
     if all(report.verdicts[c][0] for c in CONDITIONS):

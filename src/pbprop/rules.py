@@ -46,17 +46,17 @@ class RuleTrace:
     amount) pairs: every voter in the ascending list ``holders`` pays
     ``amount`` towards it. MES and Phragmen give one pair per paying ballot
     type, maximin one per paying voter; two holder lists of one trace are
-    equal or disjoint. ``payments`` is the per-voter view.
+    equal or disjoint. ``payments`` is the per-voter view. No per-voter
+    state is kept: a voter's MES budget is b/n less their payments, and
+    their Phragmen or maximin load is the sum of their payments.
+    ``blocking`` holds the project that stopped the run and its value.
     """
 
     rule: str
     selections: list[tuple[int, str, Fraction]] = field(default_factory=list)
     payment_classes: dict[str, list[tuple[list[int], Fraction]]] = field(default_factory=dict)
-    voter_budgets: dict[int, Fraction] | None = None
-    voter_loads: dict[int, Fraction] | None = None
     delta: Fraction | None = None
     blocking: tuple[str, Fraction] | None = None
-    blocking_loads: LoadAssignment | None = None
     skipped: list[str] = field(default_factory=list)
     exhaustive: bool | None = None
     mu_kind: str | None = None
@@ -159,16 +159,6 @@ class _VoterClasses:
         scaled, holders = self.scaled, self.holders
         return [(holders[t], a) for t in self.holding[p]
                 if (a := amount.get(scaled[t])) is not None]
-
-    def per_voter(self) -> dict[int, Fraction]:
-        """Every voter's value, by ascending voter id."""
-        value = {s: Fraction(s, self.den) for s in set(self.scaled)}
-        out = dict.fromkeys(range(1, sum(map(len, self.holders)) + 1))
-        for holders, s in zip(self.holders, self.scaled):
-            v = value[s]
-            for i in holders:
-                out[i] = v
-        return out
 
     def move(self, p: str, new_value: Mapping[int, int], scale: int) -> None:
         """Give each supporter of p whose scaled value is s the value
@@ -290,7 +280,6 @@ def run_mes(
         trace.payment_classes[p] = classes.spread(p, pay)
         classes.move(p, {s: s * price.denominator - a for s, a in charged.items()}, scale)
     outcome = frozenset(p for _, p, _ in trace.selections)
-    trace.voter_budgets = classes.per_voter()
     unselected = [p for p in inst.projects if p not in outcome]
     if unselected:
         trace.delta = min(inst.costs[p] - Fraction(classes.held(p), classes.den)
@@ -343,7 +332,6 @@ def run_seq_phragmen(
         trace.payment_classes[p] = classes.spread(p, charge)
         classes.move(p, dict.fromkeys(per, level), scale)
     outcome = frozenset(p for _, p, _ in trace.selections)
-    trace.voter_loads = classes.per_voter()
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
 
@@ -448,20 +436,11 @@ def run_maximin_support(
         chosen.append(p)
         stale.update(pool)  # each max runs over all of W; extra marks are harmless
     outcome = frozenset(chosen)
-    if trace.blocking is not None:
-        trace.blocking_loads = balanced[trace.blocking[0]]
     # Payments come from the balanced loads at termination, restricted to
     # the chosen projects (the blocked candidate itself is not paid for).
-    reference = trace.blocking_loads or (balanced[chosen[-1]] if chosen else None)
-    if reference is not None:
-        trace.payment_classes = {p: [([i], a) for i, a in reference.loads[p].items()]
-                                 for p in chosen}
-        trace.voter_loads = {
-            i: sum((reference.loads[p].get(i, Fraction(0)) for p in chosen), Fraction(0))
-            for i in inst.voters
-        }
-    else:
-        trace.voter_loads = {i: Fraction(0) for i in inst.voters}
+    if chosen:
+        loads = balanced[trace.blocking[0] if trace.blocking else chosen[-1]].loads
+        trace.payment_classes = {p: [([i], a) for i, a in loads[p].items()] for p in chosen}
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
 

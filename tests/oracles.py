@@ -143,7 +143,6 @@ def eager_mes(inst, mu, tie="lex"):
         trace.selections.append((len(chosen) + 1, p, best))
         chosen.append(p)
     outcome = frozenset(chosen)
-    trace.voter_budgets = budgets
     unselected = [p for p in inst.projects if p not in outcome]
     if unselected:
         trace.delta = min(
@@ -156,7 +155,8 @@ def eager_mes(inst, mu, tie="lex"):
 
 def eager_phragmen(inst, tie="lex", skip_blocked=False):
     """Sequential Phragmen with per-voter loads; candidates dropped in one
-    round are recorded in id order."""
+    round are recorded in id order. Returns the outcome, the trace and every
+    voter's final load."""
     loads = {i: Fraction(0) for i in inst.voters}
     pool = [p for p in inst.projects if inst.approvers(p)]
     trace = RuleTrace(rule="phragmen")
@@ -192,21 +192,21 @@ def eager_phragmen(inst, tie="lex", skip_blocked=False):
         chosen.append(p)
         spent += inst.costs[p]
     outcome = frozenset(chosen)
-    trace.voter_loads = loads
     trace.exhaustive = inst.is_exhaustive(outcome)
-    return outcome, trace
+    return outcome, trace, loads
 
 
 def eager_maximin(inst, tie="lex"):
     """Maximin support that rebalances every remaining candidate with a fresh
     max-flow each round. It calls ``rules.balance_loads`` through the module
-    so that a test can count the calls."""
+    so that a test can count the calls. Returns the outcome, the trace and
+    the blocked configuration's balanced loads (None if nothing blocked)."""
     pool = [p for p in inst.projects if inst.approvers(p)]
     trace = RuleTrace(rule="maximin")
     chosen = []
     spent = Fraction(0)
     rnd = 0
-    final_assignment = None
+    final_assignment = blocking_loads = None
     while True:
         remaining = [p for p in pool if p not in chosen]
         if not remaining:
@@ -218,7 +218,7 @@ def eager_maximin(inst, tie="lex"):
         if over:
             blocked = _pick(over, tie)
             trace.blocking = (blocked, s_min)
-            trace.blocking_loads = scores[blocked]
+            blocking_loads = scores[blocked]
             break
         rnd += 1
         p = _pick(argmin, tie)
@@ -227,18 +227,12 @@ def eager_maximin(inst, tie="lex"):
         final_assignment = scores[p]
         trace.selections.append((rnd, p, s_min))
     outcome = frozenset(chosen)
-    reference = trace.blocking_loads or final_assignment
+    reference = blocking_loads or final_assignment
     if reference is not None:
         trace.payment_classes = {p: [([i], amt) for i, amt in reference.loads[p].items()]
                                  for p in chosen}
-        trace.voter_loads = {
-            i: sum((reference.loads[p].get(i, Fraction(0)) for p in chosen), Fraction(0))
-            for i in inst.voters
-        }
-    else:
-        trace.voter_loads = {i: Fraction(0) for i in inst.voters}
     trace.exhaustive = inst.is_exhaustive(outcome)
-    return outcome, trace
+    return outcome, trace, blocking_loads
 
 
 # ---------------------------------------------------------------------------

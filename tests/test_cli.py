@@ -401,6 +401,21 @@ def test_missing_file_is_io_error(capsys):
     assert code == 1 and "pb:" in err
 
 
+@pytest.mark.parametrize("reader", ["pb", "json", "outcome", "price-system"])
+def test_non_utf8_file_is_io_error(capsys, inst_file, tmp_path, reader):
+    good, argv = {
+        "pb": (PB_TEXT, ["run", "--rule", "mes"]),
+        "json": (Path(inst_file).read_text(), ["run", "--rule", "mes"]),
+        "outcome": ('["p2"]', ["audit", inst_file]),
+        "price-system": ('{"B": "3", "payments": {}}', ["price", "verify", inst_file, "p2"]),
+    }[reader]
+    path = tmp_path / ("bad.pb" if reader == "pb" else "bad.json")
+    path.write_bytes(good[:1].encode() + b"\xff" + good[1:].encode())
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("pb: ") and "can't decode byte 0xff" in err
+
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
 def test_malformed_json_is_parse_error(capsys, tmp_path, case):

@@ -46,8 +46,8 @@ def test_instance_create_and_accessors():
     assert inst.approvers("b") == frozenset({2})
     assert inst.approval(1) == frozenset({"a"})
     assert inst.total_cost({"a", "b"}) == Fraction(5, 2)
-    assert inst.is_outcome({"a", "b"})
-    assert not inst.is_unit_cost()
+    assert inst.total_cost({"a", "b"}) <= inst.budget
+    assert not all(c == 1 for c in inst.costs.values())
 
 
 def test_instance_validation():
@@ -130,6 +130,7 @@ def _padded(text):
         (lambda s: s.replace("1;p1,p2", "1; p1 , p9 "), "vote references unknown projects ['p9']"),
         (lambda s: s.replace("2;p2", "1;p2"), "repeated voter_id '1'"),
         (lambda s: s.replace("2;p2", ";p2"), "missing voter_id"),
+        (lambda s: s.replace("p2;1\n", ";1\n"), "missing project_id"),
         (lambda s: s.replace("budget;7/2\n", "budget;7/2\nbudget;100\n"),
          "repeated META key budget"),
         (lambda s: s.replace("vote_type;approval\n", "vote_type;approval\n" * 2),
@@ -259,7 +260,7 @@ def test_generator_rejects_bad_parameters(params, fragment):
 
 def test_generator_unit_cost():
     inst = generate_random(GenParams(n=3, m=4, unit_cost=True), 1)
-    assert inst.is_unit_cost()
+    assert all(c == 1 for c in inst.costs.values())
 
 
 @settings(max_examples=40, deadline=None)

@@ -146,7 +146,7 @@ def test_lp_payments_are_one_class_per_paying_voter_by_ascending_voter():
     for inst in (equal_rows, make_instance(180)):
         w, trace = run_maximin_support(inst)
         # the blocked configuration's own loads fail, so maximin re-splits them
-        own = PriceSystem(inst.n * trace.blocking_loads.max_load, _trace_classes(trace))
+        own = PriceSystem(inst.n * trace.blocking[1], _trace_classes(trace))
         assert not verify_price_system(inst, w, own).ok(require_c6=True, require_b_strict=False)
         resplit = extract_from_maximin_trace(inst, trace)
         found = [resplit] + [find_price_system(inst, w, require_c6=c6, require_b_strict=False)

@@ -19,7 +19,7 @@ from pbprop.pricing import (
     find_price_system,
     verify_price_system,
 )
-from pbprop.rules import run_maximin_support, run_mes, run_seq_phragmen
+from pbprop.rules import balance_loads, run_maximin_support, run_mes, run_seq_phragmen
 from pbprop.satisfaction import cardinality_sat, cost_sat
 
 
@@ -256,7 +256,7 @@ def test_maximin_extraction_repairs_payments_at_blocked_budget():
     inst = make_instance(192)
     assert (inst.n, inst.m) == (6, 3)
     w, tr = run_maximin_support(inst)
-    budget = inst.n * tr.blocking_loads.max_load
+    budget = inst.n * balance_loads(inst, w | {tr.blocking[0]}).max_load
     own = PriceSystem(budget=budget, classes=_trace_classes(tr))
     assert not verify_price_system(inst, w, own).ok(require_c6=True)
     ps = extract_from_maximin_trace(inst, tr)

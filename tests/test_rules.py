@@ -24,6 +24,7 @@ from oracles import (
 from pbprop import rules
 from pbprop.errors import CapabilityError, GuardExceededError
 from pbprop.model import GenParams, Instance, InstanceError, generate_random
+from pbprop.pricing import extract_from_maximin_trace, extract_from_phragmen_trace
 from pbprop.repro import best_outcome_example, shared_big_project_example
 from pbprop.rules import (
     balance_loads,
@@ -127,7 +128,7 @@ def test_mes_trace_invariants():
         inst = make_instance(seed)
         for mu in (cost_sat(inst), cardinality_sat(inst)):
             w, tr = run_mes(inst, mu)
-            assert inst.is_outcome(w)
+            assert inst.total_cost(w) <= inst.budget
             assert tr.exhaustive == inst.is_exhaustive(w)
             share = inst.budget / inst.n
             spent = {i: Fraction(0) for i in inst.voters}
@@ -189,14 +190,14 @@ def test_phragmen_loads_equal_payments():
     for seed in range(25):
         inst = make_instance(seed)
         w, tr = run_seq_phragmen(inst)
-        assert inst.is_outcome(w)
+        assert inst.total_cost(w) <= inst.budget
         totals = {i: Fraction(0) for i in inst.voters}
         for p, charges in tr.payments.items():
             assert sum(charges.values(), Fraction(0)) == inst.costs[p]
             for i, amount in charges.items():
                 assert p in inst.approval(i)
                 totals[i] += amount
-        assert totals == tr.voter_loads
+        assert totals == eager_phragmen(inst)[2]
         # selection loads are nondecreasing round over round
         values = [v for _, _, v in tr.selections]
         assert values == sorted(values)
@@ -242,11 +243,11 @@ def test_maximin_support_example(shared_big_project):
     w, tr = run_maximin_support(inst)
     assert w == frozenset({"p2", "p3"})
     assert tr.blocking == ("p1", Fraction(5, 2))
-    assert tr.blocking_loads is not None
-    assert tr.blocking_loads.max_load == Fraction(5, 2)
+    blocked = balance_loads(inst, w | {"p1"})
+    assert blocked.max_load == Fraction(5, 2)
     # blocked configuration loads cover all three projects exactly
     for p in ("p1", "p2", "p3"):
-        paid = sum(tr.blocking_loads.loads[p].values(), Fraction(0))
+        paid = sum(blocked.loads[p].values(), Fraction(0))
         assert paid == inst.costs[p]
 
 
@@ -254,7 +255,7 @@ def test_maximin_round_values_are_balanced_optima():
     for seed in range(15):
         inst = make_instance(seed, max_n=4, max_m=5)
         w, tr = run_maximin_support(inst)
-        assert inst.is_outcome(w)
+        assert inst.total_cost(w) <= inst.budget
         chosen = []
         for _, p, value in tr.selections:
             chosen.append(p)
@@ -308,7 +309,7 @@ def test_gcr_outcome_feasible_random():
     for seed in range(20):
         inst = make_instance(seed, max_n=5, max_m=6)
         w = run_gcr(inst, cost_sat(inst))
-        assert inst.is_outcome(w)
+        assert inst.total_cost(w) <= inst.budget
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +345,7 @@ def _same_run(run, reference, fields):
 @pytest.mark.parametrize("tie", ["lex", "reverse"])
 @pytest.mark.parametrize("sat", ["cost", "card", "sqrt", "log", "share"])
 def test_mes_matches_eager_reference(cross_check_pool, sat, tie):
-    fields = ("selections", "payments", "voter_budgets", "delta", "exhaustive",
-              "mu_kind")
+    fields = ("selections", "payments", "delta", "exhaustive", "mu_kind")
     for inst in cross_check_pool:
         mu = BUILTINS[sat](inst)
         _same_run(run_mes(inst, mu, tie=tie), eager_mes(inst, mu, tie=tie), fields)
@@ -354,8 +354,7 @@ def test_mes_matches_eager_reference(cross_check_pool, sat, tie):
 @pytest.mark.parametrize("skip_blocked", [False, True])
 @pytest.mark.parametrize("tie", ["lex", "reverse"])
 def test_phragmen_matches_eager_reference(cross_check_pool, tie, skip_blocked):
-    fields = ("selections", "payments", "voter_loads", "blocking", "skipped",
-              "exhaustive")
+    fields = ("selections", "payments", "blocking", "skipped", "exhaustive")
     for inst in cross_check_pool:
         _same_run(
             run_seq_phragmen(inst, tie=tie, skip_blocked=skip_blocked),
@@ -446,8 +445,7 @@ def checked_classes(monkeypatch):
 @pytest.mark.parametrize("sat", ["cost", "card", "sqrt", "log", "share", "table"])
 def test_mes_matches_eager_as_the_denominator_grows(growth_pool, checked_classes,
                                                      sat, tie):
-    fields = ("selections", "payments", "voter_budgets", "delta", "exhaustive",
-              "mu_kind")
+    fields = ("selections", "payments", "delta", "exhaustive", "mu_kind")
     for inst, table in growth_pool:
         mu = table if sat == "table" else BUILTINS[sat](inst)
         _same_run(run_mes(inst, mu, tie=tie), eager_mes(inst, mu, tie=tie), fields)
@@ -458,8 +456,7 @@ def test_mes_matches_eager_as_the_denominator_grows(growth_pool, checked_classes
 @pytest.mark.parametrize("tie", ["lex", "reverse"])
 def test_phragmen_matches_eager_as_the_denominator_grows(growth_pool, checked_classes,
                                                          tie, skip_blocked):
-    fields = ("selections", "payments", "voter_loads", "blocking", "skipped",
-              "exhaustive")
+    fields = ("selections", "payments", "blocking", "skipped", "exhaustive")
     for inst, _ in growth_pool:
         _same_run(
             run_seq_phragmen(inst, tie=tie, skip_blocked=skip_blocked),
@@ -494,11 +491,46 @@ def test_balance_loads_matches_fraction_flow_oracle():
 
 @pytest.mark.parametrize("tie", ["lex", "reverse"])
 def test_maximin_matches_eager_reference(cross_check_pool, tie):
-    fields = ("selections", "payments", "voter_loads", "blocking",
-              "blocking_loads", "exhaustive")
+    fields = ("selections", "payments", "blocking", "exhaustive")
     for inst in cross_check_pool:
         _same_run(run_maximin_support(inst, tie=tie), eager_maximin(inst, tie=tie),
                   fields)
+
+
+@pytest.mark.parametrize("tie", ["lex", "reverse"])
+def test_phragmen_extraction_budget_is_n_times_the_largest_load(cross_check_pool,
+                                                                growth_pool, tie):
+    # B = n * t: the eager loads, with the blocked project's approvers
+    # raised to its load t, peak at t
+    blocked = 0
+    for inst in cross_check_pool + [inst for inst, _ in growth_pool]:
+        _, trace = run_seq_phragmen(inst, tie=tie)
+        if trace.blocking is None:
+            continue
+        _, _, loads = eager_phragmen(inst, tie=tie)
+        p, t = trace.blocking
+        loads.update(dict.fromkeys(inst.approvers(p), t))
+        budget = extract_from_phragmen_trace(inst, trace).budget
+        assert budget == inst.n * max(loads.values()), (inst, p)
+        blocked += 1
+    assert blocked >= 150
+
+
+@pytest.mark.parametrize("tie", ["lex", "reverse"])
+def test_maximin_extraction_budget_is_n_times_the_blocked_max_load(cross_check_pool,
+                                                                   growth_pool, tie):
+    # the eager reference takes seconds on each clustered instance of the
+    # growth pool, so only the growth pool's small instances run here
+    blocked = 0
+    for inst in cross_check_pool + [inst for inst, _ in growth_pool if inst.n < 100]:
+        _, trace = run_maximin_support(inst, tie=tie)
+        if trace.blocking is None:
+            continue
+        _, _, blocked_loads = eager_maximin(inst, tie=tie)
+        budget = extract_from_maximin_trace(inst, trace).budget
+        assert budget == inst.n * blocked_loads.max_load, (inst, trace.blocking)
+        blocked += 1
+    assert blocked >= 150
 
 
 @pytest.mark.parametrize("rule", ["phragmen", "phragmen-skip", "maximin"])
