@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time MES[card], MES[cost] and Phragmen here against another checkout.
+"""Time parsing, MES[card], MES[cost] and Phragmen here against another checkout.
 
 Both checkouts' ``src/pbprop`` are imported in one process under their own
 package names, ``pbprop_this`` and ``pbprop_other``, so the two codes share
@@ -12,9 +12,12 @@ both codes, back to back, in an order that alternates from one instance and
 one round to the next. Each pair of runs must give the same outcome and
 equal traces, compared as ``baseline_rows.canonical`` reads them: payments
 expanded per voter and sorted by voter, the per-voter budgets and loads that
-older traces kept left out, every other field as it is. Prints,
-per workload and rule, the median seconds of a round in each code and the
-rounds in which this checkout was faster.
+older traces kept left out, every other field as it is. Each round also
+parses every text in both codes, alternating alike, and the two parses of a
+text must give equal instance fields, the same ``ballot_types()`` order and
+the same ``approvers(p)`` order for every project. Prints, per workload and
+for the parse and each rule, the median seconds of a round in each code and
+the rounds in which this checkout was faster.
 
 Example:
     python scripts/ab_rules.py ../pbprop-parent
@@ -62,12 +65,25 @@ def texts() -> dict[str, list[tuple[str, str]]]:
     return {"uniform": uniform, "clustered": clustered}
 
 
+def parse_in(pkg, fmt: str):
+    model = importlib.import_module(f"{pkg.__name__}.model")
+    return model.parse_json if fmt == "json" else model.parse_pabulib
+
+
+def same_instance(a, b) -> bool:
+    """Equal fields, ballot types in the same order and approver sets that
+    iterate alike; the two codes' ``Instance`` classes never compare equal."""
+    return (all(getattr(a, f) == getattr(b, f)
+                for f in ("n", "projects", "costs", "approvals", "budget"))
+            and list(a.ballot_types().items()) == list(b.ballot_types().items())
+            and all(list(a.approvers(p)) == list(b.approvers(p)) for p in a.projects))
+
+
 def calls(pkg, fmt: str, text: str) -> dict:
     """The three rule runs of one instance in one code, as thunks."""
-    model = importlib.import_module(f"{pkg.__name__}.model")
     rules = importlib.import_module(f"{pkg.__name__}.rules")
     sat = importlib.import_module(f"{pkg.__name__}.satisfaction")
-    inst = (model.parse_json if fmt == "json" else model.parse_pabulib)(text)
+    inst = parse_in(pkg, fmt)(text)
     card, cost = sat.cardinality_sat(inst), sat.cost_sat(inst)
     return {"mes-card": lambda: rules.run_mes(inst, card),
             "mes-cost": lambda: rules.run_mes(inst, cost),
@@ -81,10 +97,19 @@ def main(argv=None) -> int:
     codes = (load("pbprop_this", ROOT), load("pbprop_other", other))
     for workload, instances in texts().items():
         runs = [[calls(pkg, fmt, text) for pkg in codes] for fmt, text in instances]
-        seconds = {rule: [[0.0, 0.0] for _ in range(ROUNDS)] for rule in RULES}
+        seconds = {rule: [[0.0, 0.0] for _ in range(ROUNDS)] for rule in ("parse",) + RULES}
         for r in range(ROUNDS):
             for k, pair in enumerate(runs):
                 order = (0, 1) if (r + k) % 2 == 0 else (1, 0)
+                fmt, text = instances[k]
+                parsed = [None, None]
+                for side in order:
+                    parse = parse_in(codes[side], fmt)
+                    start = perf_counter()
+                    parsed[side] = parse(text)
+                    seconds["parse"][r][side] += perf_counter() - start
+                if r == 0 and not same_instance(*parsed):
+                    raise SystemExit(f"{workload} instance {k}: parsed instances differ")
                 for rule in RULES:
                     results = [None, None]
                     for side in order:
@@ -94,7 +119,7 @@ def main(argv=None) -> int:
                     (w_this, t_this), (w_other, t_other) = results
                     if w_this != w_other or canonical(t_this) != canonical(t_other):
                         raise SystemExit(f"{workload} instance {k} {rule}: traces differ")
-        for rule in RULES + ("all",):
+        for rule in ("parse",) + RULES + ("all",):
             rounds = (seconds[rule] if rule != "all" else
                       [[sum(seconds[q][r][s] for q in RULES) for s in (0, 1)]
                        for r in range(ROUNDS)])

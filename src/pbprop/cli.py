@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_instance(path: str) -> Instance:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     if path.endswith(".pb"):
         return parse_pabulib(text)
     if path.endswith(".json"):
@@ -66,7 +66,7 @@ def _load_instance(path: str) -> Instance:
 def _load_outcome(spec: str, inst: Instance) -> frozenset[str]:
     """An outcome is a comma-separated id list, or a path to a JSON list."""
     if Path(spec).is_file():
-        ids = load_json(Path(spec).read_text())
+        ids = load_json(Path(spec).read_text(encoding="utf-8-sig"))
         if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
             raise ParseError("outcome file must hold a JSON list of project ids")
     elif spec in ("", "-"):
@@ -80,7 +80,7 @@ def _load_outcome(spec: str, inst: Instance) -> frozenset[str]:
 
 
 def _load_object(path: str) -> dict:
-    data = load_json(Path(path).read_text())
+    data = load_json(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(data, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return data
@@ -274,7 +274,7 @@ def _cmd_price(args) -> int:
     inst = _load_instance(args.instance)
     if args.price_command == "verify":
         outcome = _load_outcome(args.outcome, inst)
-        ps = pricing.PriceSystem.from_json(Path(args.system).read_text())
+        ps = pricing.PriceSystem.from_json(Path(args.system).read_text(encoding="utf-8-sig"))
         report = pricing.verify_price_system(inst, outcome, ps)
         ok = report.ok(require_c6=args.c6, require_b_strict=args.strict_b)
         _emit({"verdict": "pass" if ok else "fail", **_report_json(report)})

@@ -10,7 +10,7 @@ import csv
 import json
 import random
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -154,6 +154,9 @@ class Instance:
     are immutable after construction and safe to share between threads.
     Voters with the same ballot form a ballot type (see ``ballot_types``);
     rules, audits and price verification work per type where they can.
+    A parser that has already grouped the voters passes the grouping as
+    ``types``; otherwise the voters are grouped here. Each project's
+    approver set is built on the first ``approvers`` call.
     """
 
     n: int
@@ -161,17 +164,18 @@ class Instance:
     costs: Mapping[str, Fraction]
     approvals: tuple[frozenset[str], ...]
     budget: Fraction
+    types: InitVar[Mapping[frozenset[str], list[int]] | None] = None
     _types: Mapping[frozenset[str], list[int]] = field(
         init=False, repr=False, compare=False, default=None
     )
-    _approvers: Mapping[str, frozenset[int]] = field(
+    _approvers: Mapping[str, frozenset[int]] | None = field(  # built on first use
         init=False, repr=False, compare=False, default=None
     )
     _demands: tuple | None = field(  # memo of axioms.demand_sets
         init=False, repr=False, compare=False, default=None
     )
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, types) -> None:
         if self.n < 1:
             raise InstanceError("need at least one voter")
         if len(self.projects) < 1:
@@ -187,22 +191,17 @@ class Instance:
             raise InstanceError("budget must be a positive rational")
         if len(self.approvals) != self.n:
             raise InstanceError("need one approval set per voter")
-        types: dict[frozenset[str], list[int]] = {}
-        for i, ballot in enumerate(self.approvals, start=1):
-            types.setdefault(ballot, []).append(i)
-        approvers: dict[str, list[int]] = {p: [] for p in self.projects}
+        if types is None:
+            types = {}
+            for i, ballot in enumerate(self.approvals, start=1):
+                types.setdefault(ballot, []).append(i)
+        elif sum(map(len, types.values())) != self.n:
+            raise InstanceError("ballot types must hold every voter once")
         for ballot, holders in types.items():  # by lowest holder
-            unknown = sorted(ballot.difference(approvers))
+            unknown = sorted(ballot.difference(self.costs))
             if unknown:
                 raise InstanceError(f"voter {holders[0]} approves unknown projects {unknown}")
-            for p in ballot:
-                approvers[p] += holders
-        # Built in ascending voter order, so a set iterates as one built by
-        # scanning the voters 1..n (balance_loads adds flow edges in it).
         object.__setattr__(self, "_types", types)
-        object.__setattr__(
-            self, "_approvers", {p: frozenset(sorted(v)) for p, v in approvers.items()}
-        )
 
     @classmethod
     def create(
@@ -254,7 +253,26 @@ class Instance:
 
     def approvers(self, p: str) -> frozenset[int]:
         self._check_known([p])
+        if self._approvers is None:
+            approvers: dict[str, list[int]] = {q: [] for q in self.projects}
+            for ballot, holders in self._types.items():
+                for q in ballot:
+                    approvers[q] += holders
+            # Built in ascending voter order, so a set iterates as one built
+            # by scanning the voters 1..n (balance_loads adds flow edges in it).
+            # Threads that race here build equal maps, and the last one stays.
+            object.__setattr__(
+                self, "_approvers", {q: frozenset(sorted(v)) for q, v in approvers.items()}
+            )
         return self._approvers[p]
+
+    def approver_counts(self) -> dict[str, int]:
+        """|N(p)| for every project, counted over the ballot types."""
+        counts = dict.fromkeys(self.projects, 0)
+        for ballot, holders in self._types.items():
+            for p in ballot:
+                counts[p] += len(holders)
+        return counts
 
     def ballot_types(self) -> Mapping[frozenset[str], list[int]]:
         """Distinct ballots in order of first appearance, each mapped to its
@@ -287,17 +305,21 @@ def parse_pabulib(text: str) -> Instance:
         raise ParseError(f"unreadable .pb rows: {exc}") from exc
     sections: dict[str, list[list[str]]] = {}
     current: list[list[str]] | None = None
-    for row in rows:  # fields are stripped where read: most rows are VOTES
-        head = row[0].strip().upper() if len(row) == 1 else None
-        if not row or head == "":
-            continue
+    # Headers and blank rows have fewer than two fields; the rows between
+    # them are data rows, added a run at a time.
+    short = [(k, row[0].strip().upper() if row else "")
+             for k, row in enumerate(rows) if len(row) < 2]
+    start = 0
+    for k, head in [*short, (len(rows), "")]:
+        data = rows[start:k] if head in ("", "META", "PROJECTS", "VOTES") else rows[start:k + 1]
+        start = k + 1
+        if data:
+            if current is None:
+                line = ";".join(f.strip() for f in data[0])
+                raise ParseError(f"content before first section header: {line!r}")
+            current += data
         if head in ("META", "PROJECTS", "VOTES"):
             current = sections.setdefault(head, [])
-            continue
-        if current is None:
-            line = ";".join(f.strip() for f in row)
-            raise ParseError(f"content before first section header: {line!r}")
-        current.append(row)
 
     for name in ("META", "PROJECTS", "VOTES"):
         if name not in sections:
@@ -339,36 +361,58 @@ def parse_pabulib(text: str) -> Instance:
 
     vote_rows = sections["VOTES"]
     col_voter, col_vote = _columns("VOTES", vote_rows, ("voter_id", "vote"))
-    approvals: list[frozenset[str]] = []
+    ids = [v.strip() for v in _column(vote_rows[1:], col_voter)]
+    votes = _column(vote_rows[1:], col_vote)
+    bad_voter = None  # the first row whose voter_id is missing or repeated
+    if "" in ids or len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for i, voter in enumerate(ids, 1):
+            if not voter or voter in seen:
+                bad_voter = i
+                break
+            seen.add(voter)
+    groups: dict[str, list[int]] = {}  # raw vote string -> its rows
+    for i, vote in enumerate(votes, 1):
+        groups.setdefault(vote, []).append(i)
+    types: dict[frozenset[str], list[int]] = {}
     ballots: dict[str, frozenset[str]] = {}  # one set per distinct raw vote string
-    voters: set[str] = set()
-    for row in vote_rows[1:]:
-        voter = row[col_voter].strip() if len(row) > col_voter else ""
-        if not voter or voter in voters:
-            raise ParseError(f"repeated voter_id {voter!r}" if voter else "missing voter_id")
-        voters.add(voter)
-        vote = row[col_vote] if len(row) > col_vote else ""
-        ballot = ballots.get(vote)
-        if ballot is None:
-            ballot = frozenset(p.strip() for p in vote.split(",") if p.strip())
-            dangling = ballot.difference(costs)
-            if dangling:
-                raise ParseError(f"vote references unknown projects {sorted(dangling)}")
-            ballots[vote] = ballot
-        approvals.append(ballot)
-    if len(approvals) != num_votes:
-        raise ParseError(f"META says {num_votes} votes, VOTES lists {len(approvals)}")
+    for vote, holders in groups.items():  # by first row
+        if bad_voter is not None and bad_voter <= holders[0]:
+            break
+        ballot = ballots[vote] = frozenset(p.strip() for p in vote.split(",") if p.strip())
+        dangling = ballot.difference(costs)
+        if dangling:
+            raise ParseError(f"vote references unknown projects {sorted(dangling)}")
+        first = types.setdefault(ballot, holders)
+        if first is not holders:  # another spelling of an earlier ballot
+            first += holders
+    if bad_voter is not None:
+        voter = ids[bad_voter - 1]
+        raise ParseError(f"repeated voter_id {voter!r}" if voter else "missing voter_id")
+    for holders in types.values():
+        holders.sort()  # only merged spellings are out of order
+    if len(votes) != num_votes:
+        raise ParseError(f"META says {num_votes} votes, VOTES lists {len(votes)}")
 
     try:
         return Instance(
-            n=len(approvals),
+            n=len(votes),
             projects=tuple(costs),
             costs=costs,
-            approvals=tuple(approvals),
+            approvals=tuple([ballots[vote] for vote in votes]),
             budget=budget,
+            types=types,
         )
     except InstanceError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _column(rows: list[list[str]], k: int) -> list[str]:
+    """Field k of every row, "" where a row is shorter."""
+    try:
+        return [row[k] for row in rows]
+    except IndexError:
+        return [row[k] if len(row) > k else "" for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -256,9 +256,9 @@ def run_mes(
     only when they reach the top."""
     if not mu.additive:
         raise CapabilityError("MES requires an additive satisfaction function")
-    candidates = [p for p in inst.projects if inst.approvers(p)]
-    units = {p: _additive_value(mu, p) for p in candidates}
     classes = _VoterClasses(inst, inst.budget / inst.n)
+    candidates = [p for p in inst.projects if classes.holding[p]]
+    units = {p: _additive_value(mu, p) for p in candidates}
 
     def rho(p: str) -> Fraction | None:
         ladder = sorted(classes.histogram(p).items())
@@ -309,8 +309,8 @@ def run_seq_phragmen(
     # Candidates are all approved projects, even those costing more than the
     # whole budget: such a project can still win the load argmin and must then
     # trigger the blocking break for the price-extraction bound to hold.
-    pool = [p for p in inst.projects if inst.approvers(p)]
-    size = {p: len(inst.approvers(p)) for p in pool}
+    size = inst.approver_counts()
+    pool = [p for p in inst.projects if size[p]]
     classes = _VoterClasses(inst, Fraction(0))
 
     def t(p: str) -> Fraction:

@@ -131,8 +131,7 @@ def share_sat(inst: Instance) -> SatisfactionFunction:
     """Per-project cost divided by approver count; undefined (and omitted)
     for projects nobody approves -- evaluating those raises."""
     table = {}
-    for p in inst.projects:
-        k = len(inst.approvers(p))
+    for p, k in inst.approver_counts().items():
         if k > 0:
             table[p] = inst.costs[p] / k
     return _additive("share", table, cost_neutral=False)

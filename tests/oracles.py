@@ -3,12 +3,14 @@
 Everything here is written as directly off the definitions as possible:
 no reductions, no early-size arguments, just full enumeration. Only
 usable at desk scale (n, m around 5)."""
+import csv
 import itertools
 from collections import deque
 from fractions import Fraction
 
 from pbprop import rules
 from pbprop.axioms import is_cohesive
+from pbprop.model import Instance, InstanceError, ParseError, _columns, parse_money
 from pbprop.rules import LoadAssignment, RuleTrace
 from pbprop.satisfaction import voter_satisfaction
 
@@ -519,3 +521,88 @@ def reference_verify_price_system(inst, outcome, ps):
     for name in CONDITIONS:
         verdicts.setdefault(name, (True, None))
     return PriceReport(verdicts=verdicts, b_strict=ps.budget > inst.budget)
+
+
+def reference_parse_pabulib(text):
+    """The row-by-row ``.pb`` parser: one pass over every row, one set per
+    distinct raw vote string, and the voters grouped by ``Instance``."""
+    try:
+        rows = list(csv.reader(text.splitlines(), delimiter=";", quotechar='"'))
+    except csv.Error as exc:
+        raise ParseError(f"unreadable .pb rows: {exc}") from exc
+    sections = {}
+    current = None
+    for row in rows:
+        head = row[0].strip().upper() if len(row) == 1 else None
+        if not row or head == "":
+            continue
+        if head in ("META", "PROJECTS", "VOTES"):
+            current = sections.setdefault(head, [])
+            continue
+        if current is None:
+            line = ";".join(f.strip() for f in row)
+            raise ParseError(f"content before first section header: {line!r}")
+        current.append(row)
+
+    for name in ("META", "PROJECTS", "VOTES"):
+        if name not in sections:
+            raise ParseError(f"missing section {name}")
+
+    meta_rows = [[f.strip() for f in row] for row in sections["META"]]
+    if not meta_rows or [c.lower() for c in meta_rows[0]][:2] != ["key", "value"]:
+        raise ParseError("META must start with a 'key;value' header")
+    meta = {row[0]: row[1] if len(row) > 1 else "" for row in meta_rows[1:]}
+    keys = [row[0] for row in meta_rows[1:]]
+    for key in ("num_projects", "num_votes", "budget", "vote_type"):
+        if key not in meta:
+            raise ParseError(f"missing META key {key}")
+        if keys.count(key) > 1:
+            raise ParseError(f"repeated META key {key}")
+    if meta["vote_type"] != "approval":
+        raise ParseError(f"unsupported vote type {meta['vote_type']!r}")
+    try:
+        num_projects = int(meta["num_projects"])
+        num_votes = int(meta["num_votes"])
+    except ValueError as exc:
+        raise ParseError("num_projects/num_votes must be integers") from exc
+    budget = parse_money(meta["budget"])
+
+    proj_rows = [[f.strip() for f in row] for row in sections["PROJECTS"]]
+    col_id, col_cost = _columns("PROJECTS", proj_rows, ("project_id", "cost"))
+    costs = {}
+    for row in proj_rows[1:]:
+        if len(row) <= max(col_id, col_cost):
+            raise ParseError(f"malformed PROJECTS row {row!r}")
+        pid = row[col_id]
+        if not pid or pid in costs:
+            raise ParseError(f"duplicate project id {pid!r}" if pid else "missing project_id")
+        costs[pid] = parse_money(row[col_cost])
+    if len(costs) != num_projects:
+        raise ParseError(f"META says {num_projects} projects, PROJECTS lists {len(costs)}")
+
+    vote_rows = sections["VOTES"]
+    col_voter, col_vote = _columns("VOTES", vote_rows, ("voter_id", "vote"))
+    approvals = []
+    ballots = {}
+    voters = set()
+    for row in vote_rows[1:]:
+        voter = row[col_voter].strip() if len(row) > col_voter else ""
+        if not voter or voter in voters:
+            raise ParseError(f"repeated voter_id {voter!r}" if voter else "missing voter_id")
+        voters.add(voter)
+        vote = row[col_vote] if len(row) > col_vote else ""
+        ballot = ballots.get(vote)
+        if ballot is None:
+            ballot = frozenset(p.strip() for p in vote.split(",") if p.strip())
+            dangling = ballot.difference(costs)
+            if dangling:
+                raise ParseError(f"vote references unknown projects {sorted(dangling)}")
+            ballots[vote] = ballot
+        approvals.append(ballot)
+    if len(approvals) != num_votes:
+        raise ParseError(f"META says {num_votes} votes, VOTES lists {len(approvals)}")
+    try:
+        return Instance(n=len(approvals), projects=tuple(costs), costs=costs,
+                        approvals=tuple(approvals), budget=budget)
+    except InstanceError as exc:
+        raise ParseError(str(exc)) from exc

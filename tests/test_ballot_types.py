@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import pabulib_text
 from oracles import (
     eager_maximin, eager_mes, eager_phragmen, per_voter_system, reference_verify_price_system,
 )
@@ -20,7 +21,7 @@ from pbprop.pricing import (
     verify_price_system,
 )
 from pbprop.rules import run_gcr, run_maximin_support, run_mes, run_seq_phragmen
-from pbprop.satisfaction import cardinality_sat, cost_sat
+from pbprop.satisfaction import cardinality_sat, cost_sat, share_sat
 from test_pricing import _perturbed, assert_rebuilt_verify_alike
 
 
@@ -189,6 +190,23 @@ def test_parse_pabulib_with_repeated_ballots():
     assert inst == Instance.create({"a": 2, "b": 1, "c": 3}, ballots, 4)
     assert inst.approval(1) is inst.approval(3)  # one set per vote string
     assert list(inst.ballot_types().values()) == [[1, 3, 4, 6], [2, 5]]
+
+
+def test_rules_and_price_verification_leave_approver_sets_unbuilt(pool):
+    """MES, Phragmen, MES extraction, price verification and the share
+    function read approver counts from the ballot types; the per-voter
+    approver sets are built only when a caller asks for one."""
+    for ref in pool[:4]:
+        inst = parse_pabulib(pabulib_text(ref.costs, ref.budget, ref.approvals))
+        for mu in (cost_sat(inst), share_sat(inst)):
+            w, trace = run_mes(inst, mu)
+            assert set(inst.projects) - w  # C5 has projects to check
+            verify_price_system(inst, w, extract_from_mes_trace(inst, trace))
+        run_seq_phragmen(inst)
+        assert inst._approvers is None
+        for p in inst.projects:
+            scan = [i for i in inst.voters if p in inst.approval(i)]
+            assert list(inst.approvers(p)) == list(frozenset(sorted(scan)))
 
 
 def test_unknown_project_names_the_lowest_offending_voter(pool):

@@ -416,6 +416,26 @@ def test_non_utf8_file_is_io_error(capsys, inst_file, tmp_path, reader):
     assert err.startswith("pb: ") and "can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize("reader", ["pb", "json", "sniffed-json", "outcome", "price-system"])
+def test_byte_order_mark_is_read_past(capsys, inst_file, tmp_path, reader):
+    text, name, argv = {
+        "pb": (PB_TEXT, "inst.pb", ["run", "--rule", "mes"]),
+        "json": (Path(inst_file).read_text(), "inst.json", ["run", "--rule", "mes"]),
+        "sniffed-json": (Path(inst_file).read_text(), "inst", ["run", "--rule", "phragmen"]),
+        "outcome": ('["p2"]', "outcome.json", ["audit", inst_file]),
+        "price-system": ('{"B": "3", "payments": {"1": {"p1": "3/2"}, "2": {"p1": "3/2"}}}',
+                         "system.json", ["price", "verify", inst_file, "p1"]),
+    }[reader]
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / ("bom" if bom else "plain") / name
+        path.parent.mkdir()
+        path.write_bytes(bom + text.encode())
+        results.append(run_cli(capsys, *argv, str(path)))
+    assert results[0] == results[1]
+    assert results[0][1]  # both wrote a payload
+
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
 def test_malformed_json_is_parse_error(capsys, tmp_path, case):

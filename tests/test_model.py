@@ -1,4 +1,5 @@
 import json
+import random
 import signal
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, MALFORMED_JSON, pabulib_text
+from oracles import reference_parse_pabulib
 from pbprop.model import (
     GenParams,
     Instance,
@@ -383,6 +385,82 @@ def test_parsers_raise_only_parse_error_on_mutated_text(base, edits):
         parse(_mutate(text, edits))
     except ParseError:
         pass
+
+
+def _sharing(inst):
+    """Which voters share one approval set object, as each voter's lowest
+    sharer."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(ballot), k) for k, ballot in enumerate(inst.approvals)]
+
+
+def assert_parses_as_reference(text):
+    """Both parsers raise the same ``ParseError`` text, or give equal
+    instances with the same ballot-type order, approver order and set
+    sharing."""
+    try:
+        want = reference_parse_pabulib(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_pabulib(text)
+        assert str(got.value) == str(exc)
+        return
+    got = parse_pabulib(text)
+    assert got == want
+    assert list(got.ballot_types().items()) == list(want.ballot_types().items())
+    assert _sharing(got) == _sharing(want)
+    for p in want.projects:
+        assert list(got.approvers(p)) == list(want.approvers(p))
+
+
+@pytest.mark.parametrize("base", sorted(b for b in FUZZ_BASES if b.startswith("pabulib")))
+@settings(max_examples=300, deadline=None)
+@given(edits=EDITS)
+def test_pabulib_parse_matches_row_by_row_reference_on_mutated_text(base, edits):
+    assert_parses_as_reference(_mutate(FUZZ_BASES[base][1], edits))
+
+
+def _spelling(rng, ballot):
+    """One raw vote string for a ballot: reordered, spaced, repeated ids, a
+    trailing comma, or quoted."""
+    ids = sorted(ballot)
+    rng.shuffle(ids)
+    if ids and rng.random() < 0.3:
+        ids.append(rng.choice(ids))
+    vote = ",".join(f" {p} " if rng.random() < 0.3 else p for p in ids)
+    if rng.random() < 0.2:
+        vote += ","
+    return f'"{vote}"' if rng.random() < 0.3 else vote
+
+
+def _respelled_pabulib(seed):
+    """A ``.pb`` text whose few ballots are each written several ways, with
+    blank rows, an extra column and non-numeric voter ids. On two seeds in
+    three, one or two rows may be bad: a missing or repeated voter_id, an
+    unknown project, or both in one row."""
+    rng = random.Random(seed)
+    projects = [f"p{j}" for j in range(1, rng.randint(2, 7) + 1)]
+    bundles = [frozenset(rng.sample(projects, rng.randint(0, min(3, len(projects)))))
+               for _ in range(rng.randint(1, 5))]
+    ids = [f"v{k}" for k in rng.sample(range(100), rng.randint(1, 40))]
+    rows = [f"{i};{_spelling(rng, rng.choice(bundles))};x" for i in ids]
+    for _ in range(seed % 3):
+        voter = rng.choice([" ", rng.choice(ids), "w"])
+        vote = rng.choice(["zz", "p1, zz", _spelling(rng, rng.choice(bundles))])
+        rows.insert(rng.randint(0, len(rows)), f"{voter};{vote};x")
+    for _ in range(rng.randint(0, 3)):
+        rows.insert(rng.randint(0, len(rows)), rng.choice(["", "  "]))
+    costs = [f"{p};{rng.randint(1, 9)}" for p in projects]
+    votes = sum(";" in row for row in rows)
+    return "\n".join(["META", "key;value", f"num_projects;{len(projects)}",
+                      f"num_votes;{votes}", "budget;10", "vote_type;approval",
+                      "PROJECTS", "project_id;cost", *costs,
+                      "VOTES", "voter_id;vote;extra", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_pabulib_parse_matches_row_by_row_reference_on_respelled_ballots(seed):
+    assert_parses_as_reference(_respelled_pabulib(seed))
 
 
 @pytest.mark.parametrize("amount", ["1e400", "1E3", "2.5e-1", "inf", "nan"])
