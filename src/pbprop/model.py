@@ -309,17 +309,17 @@ def parse_pabulib(text: str) -> Instance:
     # them are data rows, added a run at a time.
     short = [(k, row[0].strip().upper() if row else "")
              for k, row in enumerate(rows) if len(row) < 2]
+    breaks = [(k, head) for k, head in short if head in ("", "META", "PROJECTS", "VOTES")]
     start = 0
-    for k, head in [*short, (len(rows), "")]:
-        data = rows[start:k] if head in ("", "META", "PROJECTS", "VOTES") else rows[start:k + 1]
-        start = k + 1
-        if data:
+    for k, head in [*breaks, (len(rows), "")]:
+        if start < k:
             if current is None:
-                line = ";".join(f.strip() for f in data[0])
+                line = ";".join(f.strip() for f in rows[start])
                 raise ParseError(f"content before first section header: {line!r}")
-            current += data
-        if head in ("META", "PROJECTS", "VOTES"):
+            current += rows[start:k]
+        if head:
             current = sections.setdefault(head, [])
+        start = k + 1
 
     for name in ("META", "PROJECTS", "VOTES"):
         if name not in sections:

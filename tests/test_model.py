@@ -435,9 +435,10 @@ def _spelling(rng, ballot):
 
 def _respelled_pabulib(seed):
     """A ``.pb`` text whose few ballots are each written several ways, with
-    blank rows, an extra column and non-numeric voter ids. On two seeds in
-    three, one or two rows may be bad: a missing or repeated voter_id, an
-    unknown project, or both in one row."""
+    blank rows, an extra column, non-numeric voter ids and, in VOTES, a
+    repeated header and rows of one field. On two seeds in three, one or
+    two rows may be bad: a missing or repeated voter_id, an unknown
+    project, or both in one row."""
     rng = random.Random(seed)
     projects = [f"p{j}" for j in range(1, rng.randint(2, 7) + 1)]
     bundles = [frozenset(rng.sample(projects, rng.randint(0, min(3, len(projects)))))
@@ -448,10 +449,10 @@ def _respelled_pabulib(seed):
         voter = rng.choice([" ", rng.choice(ids), "w"])
         vote = rng.choice(["zz", "p1, zz", _spelling(rng, rng.choice(bundles))])
         rows.insert(rng.randint(0, len(rows)), f"{voter};{vote};x")
-    for _ in range(rng.randint(0, 3)):
-        rows.insert(rng.randint(0, len(rows)), rng.choice(["", "  "]))
+    for _ in range(rng.randint(0, 3)):  # blanks, a repeated header, a row of one field
+        rows.insert(rng.randint(0, len(rows)), rng.choice(["", "  ", " votes ", "u"]))
     costs = [f"{p};{rng.randint(1, 9)}" for p in projects]
-    votes = sum(";" in row for row in rows)
+    votes = sum(row.strip().upper() not in ("", "VOTES") for row in rows)
     return "\n".join(["META", "key;value", f"num_projects;{len(projects)}",
                       f"num_votes;{votes}", "budget;10", "vote_type;approval",
                       "PROJECTS", "project_id;cost", *costs,
