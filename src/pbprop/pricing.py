@@ -224,9 +224,9 @@ def verify_price_system(
     if short is not None:
         fail("C4", (short,))
     unchosen = [p for p in inst.projects if p not in w]
-    approvers = inst.approver_counts()
+    size = inst.approver_counts()
     for p in unchosen:  # the approvers' pooled leftover; unlisted ones keep B/n
-        unlisted = approvers[p] - counted.get(p, 0)
+        unlisted = size[p] - counted.get(p, 0)
         if pooled.get(p, 0) + unlisted * quota > cost[p]:
             fail("C5", (p,))
             break
