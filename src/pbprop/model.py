@@ -39,8 +39,8 @@ def parse_money(value: str | int | Fraction) -> Fraction:
     text = str(value).strip()
     if "e" in text or "E" in text:
         raise ParseError(f"not a rational number: {value!r}")
-    try:
-        return Fraction(text)
+    try:  # whole amounts, most costs, skip the regex of Fraction(str)
+        return Fraction(int(text)) if text.isdecimal() else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {value!r}") from exc
 
