@@ -153,6 +153,10 @@ class _VoterClasses:
         scaled, holders = self.scaled, self.holders
         return sum(scaled[t] * len(holders[t]) for t in self.holding[p])
 
+    def supporters(self, p: str) -> int:
+        """The number of p's supporters."""
+        return sum(map(len, map(self.holders.__getitem__, self.holding[p])))
+
     def spread(self, p: str, amount: Mapping[int, Fraction]) -> list[tuple[list[int], Fraction]]:
         """(holders, ``amount`` of their scaled value) for each ballot type
         that supports p and whose scaled value has an amount."""
@@ -309,9 +313,9 @@ def run_seq_phragmen(
     # Candidates are all approved projects, even those costing more than the
     # whole budget: such a project can still win the load argmin and must then
     # trigger the blocking break for the price-extraction bound to hold.
-    size = inst.approver_counts()
-    pool = [p for p in inst.projects if size[p]]
     classes = _VoterClasses(inst, Fraction(0))
+    pool = [p for p in inst.projects if classes.holding[p]]
+    size = {p: classes.supporters(p) for p in pool}
 
     def t(p: str) -> Fraction:
         den, cost = classes.den, inst.costs[p]
