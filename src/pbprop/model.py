@@ -10,7 +10,7 @@ import csv
 import json
 import random
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -39,8 +39,8 @@ def parse_money(value: str | int | Fraction) -> Fraction:
     text = str(value).strip()
     if "e" in text or "E" in text:
         raise ParseError(f"not a rational number: {value!r}")
-    try:  # whole amounts, most costs, skip the regex of Fraction(str)
-        return Fraction(int(text)) if text.isdecimal() else Fraction(text)
+    try:
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {value!r}") from exc
 
@@ -154,9 +154,7 @@ class Instance:
     are immutable after construction and safe to share between threads.
     Voters with the same ballot form a ballot type (see ``ballot_types``);
     rules, audits and price verification work per type where they can.
-    A parser that has already grouped the voters passes the grouping as
-    ``types``; otherwise the voters are grouped here. Each project's
-    approver set is built on the first ``approvers`` call.
+    Each project's approver set is built on the first ``approvers`` call.
     """
 
     n: int
@@ -164,7 +162,6 @@ class Instance:
     costs: Mapping[str, Fraction]
     approvals: tuple[frozenset[str], ...]
     budget: Fraction
-    types: InitVar[Mapping[frozenset[str], list[int]] | None] = None
     _types: Mapping[frozenset[str], list[int]] = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -175,7 +172,7 @@ class Instance:
         init=False, repr=False, compare=False, default=None
     )
 
-    def __post_init__(self, types) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise InstanceError("need at least one voter")
         if len(self.projects) < 1:
@@ -191,12 +188,9 @@ class Instance:
             raise InstanceError("budget must be a positive rational")
         if len(self.approvals) != self.n:
             raise InstanceError("need one approval set per voter")
-        if types is None:
-            types = {}
-            for i, ballot in enumerate(self.approvals, start=1):
-                types.setdefault(ballot, []).append(i)
-        elif sum(map(len, types.values())) != self.n:
-            raise InstanceError("ballot types must hold every voter once")
+        types: dict[frozenset[str], list[int]] = {}
+        for i, ballot in enumerate(self.approvals, start=1):
+            types.setdefault(ballot, []).append(i)
         for ballot, holders in types.items():  # by lowest holder
             unknown = sorted(ballot.difference(self.costs))
             if unknown:
@@ -270,8 +264,9 @@ class Instance:
         """|N(p)| for every project, counted over the ballot types."""
         counts = dict.fromkeys(self.projects, 0)
         for ballot, holders in self._types.items():
+            k = len(holders)
             for p in ballot:
-                counts[p] += len(holders)
+                counts[p] += k
         return counts
 
     def ballot_types(self) -> Mapping[frozenset[str], list[int]]:
@@ -363,34 +358,25 @@ def parse_pabulib(text: str) -> Instance:
     col_voter, col_vote = _columns("VOTES", vote_rows, ("voter_id", "vote"))
     ids = [v.strip() for v in _column(vote_rows[1:], col_voter)]
     votes = _column(vote_rows[1:], col_vote)
-    bad_voter = None  # the first row whose voter_id is missing or repeated
+    bad_voter = None  # index of the first row whose voter_id is missing or repeated
     if "" in ids or len(set(ids)) < len(ids):
         seen: set[str] = set()
-        for i, voter in enumerate(ids, 1):
+        for i, voter in enumerate(ids):
             if not voter or voter in seen:
                 bad_voter = i
                 break
             seen.add(voter)
-    groups: dict[str, list[int]] = {}  # raw vote string -> its rows
-    for i, vote in enumerate(votes, 1):
-        groups.setdefault(vote, []).append(i)
-    types: dict[frozenset[str], list[int]] = {}
-    ballots: dict[str, frozenset[str]] = {}  # one set per distinct raw vote string
-    for vote, holders in groups.items():  # by first row
-        if bad_voter is not None and bad_voter <= holders[0]:
-            break
+    # One set per distinct raw vote string, by first row. A row's voter_id
+    # error comes before its vote's, so rows from the bad voter_id on wait.
+    ballots: dict[str, frozenset[str]] = {}
+    for vote in dict.fromkeys(votes[:bad_voter]):
         ballot = ballots[vote] = frozenset(p.strip() for p in vote.split(",") if p.strip())
         dangling = ballot.difference(costs)
         if dangling:
             raise ParseError(f"vote references unknown projects {sorted(dangling)}")
-        first = types.setdefault(ballot, holders)
-        if first is not holders:  # another spelling of an earlier ballot
-            first += holders
     if bad_voter is not None:
-        voter = ids[bad_voter - 1]
+        voter = ids[bad_voter]
         raise ParseError(f"repeated voter_id {voter!r}" if voter else "missing voter_id")
-    for holders in types.values():
-        holders.sort()  # only merged spellings are out of order
     if len(votes) != num_votes:
         raise ParseError(f"META says {num_votes} votes, VOTES lists {len(votes)}")
 
@@ -399,9 +385,8 @@ def parse_pabulib(text: str) -> Instance:
             n=len(votes),
             projects=tuple(costs),
             costs=costs,
-            approvals=tuple([ballots[vote] for vote in votes]),
+            approvals=tuple(map(ballots.__getitem__, votes)),
             budget=budget,
-            types=types,
         )
     except InstanceError as exc:
         raise ParseError(str(exc)) from exc

@@ -153,10 +153,6 @@ class _VoterClasses:
         scaled, holders = self.scaled, self.holders
         return sum(scaled[t] * len(holders[t]) for t in self.holding[p])
 
-    def supporters(self, p: str) -> int:
-        """The number of p's supporters."""
-        return sum(map(len, map(self.holders.__getitem__, self.holding[p])))
-
     def spread(self, p: str, amount: Mapping[int, Fraction]) -> list[tuple[list[int], Fraction]]:
         """(holders, ``amount`` of their scaled value) for each ballot type
         that supports p and whose scaled value has an amount."""
@@ -314,8 +310,8 @@ def run_seq_phragmen(
     # whole budget: such a project can still win the load argmin and must then
     # trigger the blocking break for the price-extraction bound to hold.
     classes = _VoterClasses(inst, Fraction(0))
-    pool = [p for p in inst.projects if classes.holding[p]]
-    size = {p: classes.supporters(p) for p in pool}
+    size = {p: k for p, k in inst.approver_counts().items() if k}
+    pool = list(size)
 
     def t(p: str) -> Fraction:
         den, cost = classes.den, inst.costs[p]
