@@ -367,7 +367,7 @@ def parse_pabulib(text: str) -> Instance:
                 break
             seen.add(voter)
     # One set per distinct raw vote string, by first row. A row's voter_id
-    # error comes before its vote's, so rows from the bad voter_id on wait.
+    # error comes before its vote's, so votes are read up to the bad row.
     ballots: dict[str, frozenset[str]] = {}
     for vote in dict.fromkeys(votes[:bad_voter]):
         ballot = ballots[vote] = frozenset(p.strip() for p in vote.split(",") if p.strip())
