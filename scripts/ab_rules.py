@@ -11,13 +11,17 @@ checkout's ``perfbench/`` and parsed by each code from the same JSON or
 both codes, back to back, in an order that alternates from one instance and
 one round to the next. Each pair of runs must give the same outcome and
 equal traces, compared as ``baseline_rows.canonical`` reads them: payments
-expanded per voter and sorted by voter, the per-voter budgets and loads that
-older traces kept left out, every other field as it is. Each round also
-parses every text in both codes, alternating alike, and the two parses of a
-text must give equal instance fields, the same ``ballot_types()`` order and
-the same ``approvers(p)`` order for every project. Prints, per workload and
-for the parse and each rule, the median seconds of a round in each code and
-the rounds in which this checkout was faster.
+expanded per voter and sorted by voter, every other field as it is. Each
+round also parses every text in both codes, alternating alike, and the two
+parses of a text must give equal instance fields, the same
+``ballot_types()`` order and the same ``approvers(p)`` order for every
+project. Prints, per workload, the median seconds of a round in each code
+and the rounds in which this checkout was faster, for the parse, for each
+rule and for ``all``. The per-rule rows time the rule alone on instances
+parsed before the timed loop, so they leave instance construction out: work
+that moves between building an ``Instance`` and running a rule shows there
+as a change in the rule. The ``all`` row sums the parse and the three rules
+of each round, and is the one to read for such a move.
 
 Example:
     python scripts/ab_rules.py ../pbprop-parent
@@ -121,7 +125,7 @@ def main(argv=None) -> int:
                         raise SystemExit(f"{workload} instance {k} {rule}: traces differ")
         for rule in ("parse",) + RULES + ("all",):
             rounds = (seconds[rule] if rule != "all" else
-                      [[sum(seconds[q][r][s] for q in RULES) for s in (0, 1)]
+                      [[sum(seconds[q][r][s] for q in ("parse",) + RULES) for s in (0, 1)]
                        for r in range(ROUNDS)])
             this, that = (statistics.median(t[s] for t in rounds) for s in (0, 1))
             wins = sum(t[0] < t[1] for t in rounds)

@@ -44,19 +44,11 @@ ROWS = {
 }
 
 
-# Per-voter state that older traces kept next to their payments: a voter's
-# MES budget or Phragmen load follows from the payments, and maximin's
-# blocked loads from ``blocking``, so they are left out of the compared view.
-DERIVED = ("voter_budgets", "voter_loads", "blocking_loads")
-
-
 def canonical(trace) -> dict:
     """A rule trace as its fields, with the payments expanded per voter and
     sorted by voter, so that a trace that keeps its payments per class of
-    voters reads the same as one that keeps them per voter. The ``DERIVED``
-    fields are left out, so a trace that keeps them reads the same as one
-    that does not."""
-    skip = ("payments", "payment_classes", *DERIVED)
+    voters reads the same as one that keeps them per voter."""
+    skip = ("payments", "payment_classes")
     view = {k: v for k, v in vars(trace).items() if k not in skip}
     view["payments"] = {p: dict(sorted(per.items())) for p, per in trace.payments.items()}
     return view

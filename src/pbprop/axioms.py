@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardExceededError, InconsistentAuditError
-from .model import Instance, InstanceError
+from .model import Instance
 from .satisfaction import SatisfactionFunction
 
 
@@ -68,13 +68,6 @@ def _guard(inst: Instance, max_m: int, max_n: int) -> None:
             f"projects, up to 2^{inst.m} demand sets x {ballots} ballots) exceeds guard "
             f"({max_n} voters, {max_m} projects)"
         )
-
-
-def _check_outcome(inst: Instance, outcome) -> frozenset[str]:
-    w = frozenset(outcome)
-    if inst.total_cost(w) > inst.budget:
-        raise InstanceError("outcome exceeds the budget")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +147,7 @@ def _ejr_family(
     """`unmet(ballot, T, mu(T))` is None when the ballot's holders are satisfied,
     else (lhs, detail). Demands with T inside the outcome can be skipped."""
     _guard(inst, max_m, max_n)
-    w = _check_outcome(inst, outcome)
+    w = inst.check_outcome(outcome)
     for d in demand_sets(inst):
         target = mu.value(d.t)
         if skip_covered and d.t <= w:
@@ -291,7 +284,7 @@ def _pjr_family(
     """`unmet(demand, intersection, share)` is None when the representative group
     passes, else (lhs, rhs, detail); share is the outcome within its union."""
     _guard(inst, max_m, max_n)
-    w = _check_outcome(inst, outcome)
+    w = inst.check_outcome(outcome)
     for d in demand_sets(inst):
         if skip_covered and d.t <= w:
             continue

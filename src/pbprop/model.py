@@ -237,6 +237,14 @@ class Instance:
         self._check_known(s)
         return sum((self.costs[p] for p in s), Fraction(0))
 
+    def check_outcome(self, outcome: Iterable[str]) -> frozenset[str]:
+        """The outcome as a set, refused unless its ids are known and it fits
+        the budget."""
+        w = frozenset(outcome)
+        if self.total_cost(w) > self.budget:
+            raise InstanceError("outcome exceeds the budget")
+        return w
+
     def is_exhaustive(self, s: Iterable[str]) -> bool:
         s = set(s)
         spent = self.total_cost(s)

@@ -161,9 +161,7 @@ def verify_price_system(
     are those of a voter-by-voter check. The sums run on ints: money is
     counted in units of 1/den, with den the lcm of the denominators of B/n,
     every cost and every amount."""
-    w = frozenset(outcome)
-    if inst.total_cost(w) > inst.budget:  # also validates the project ids
-        raise InstanceError("outcome exceeds the budget")
+    w = inst.check_outcome(outcome)
     classes = [(holders, row) for holders, row in ps.classes if holders]
     listed = _listed(inst, classes)
     share = Fraction(ps.budget) / inst.n
@@ -340,9 +338,7 @@ def find_price_system(
     linear feasibility problem in (B, d). Maximizes the slack of B above
     its lower bound; with ``require_b_strict`` success needs positive slack
     (B strictly above the real budget)."""
-    w = sorted(set(outcome))
-    if inst.total_cost(w) > inst.budget:
-        raise InstanceError("outcome exceeds the budget")
+    w = sorted(inst.check_outcome(outcome))
     pay_vars = _payment_vars(inst, w)
     if len(pay_vars) > max_payment_vars:
         raise GuardExceededError(

@@ -68,8 +68,8 @@ class RuleTrace:
                 for p, pairs in self.payment_classes.items()}
 
 
-def _additive_value(mu: SatisfactionFunction, p: str) -> Fraction:
-    if not mu.additive or mu.per_project is None:
+def _unit_value(mu: SatisfactionFunction, p: str) -> Fraction:
+    if not mu.additive:
         raise CapabilityError(f"{mu.kind} is not additive; rule requires per-project values")
     value = mu.per_project.get(p)
     if value is None or value <= 0:
@@ -105,7 +105,7 @@ def min_rho(
     """Minimal rho at which p is affordable from the given voter budgets,
     i.e. the supporters' capped payments min(b_i, rho*mu(p)) sum to c(p).
     Returns None when the supporters cannot afford p at any rho."""
-    unit = _additive_value(mu, p)
+    unit = _unit_value(mu, p)
     held = [budgets[i] for i in inst.approvers(p)]
     den = lcm(*(b.denominator for b in held))
     ladder = sorted(Counter(b.numerator * (den // b.denominator) for b in held).items())
@@ -258,7 +258,7 @@ def run_mes(
         raise CapabilityError("MES requires an additive satisfaction function")
     classes = _VoterClasses(inst, inst.budget / inst.n)
     candidates = [p for p in inst.projects if classes.holding[p]]
-    units = {p: _additive_value(mu, p) for p in candidates}
+    units = {p: _unit_value(mu, p) for p in candidates}
 
     def rho(p: str) -> Fraction | None:
         ladder = sorted(classes.histogram(p).items())

@@ -1,4 +1,4 @@
-"""Satisfaction functions over project sets, with capability flags.
+"""Satisfaction functions over project sets, with capabilities read off their values.
 
 Built-ins: cost, cardinality, sqrt-of-cost, log(1+cost), Chamberlin-Courant
 style coverage (cc), share, and user tables. Square roots and logarithms are
@@ -7,11 +7,11 @@ arithmetic is exact.
 """
 from __future__ import annotations
 
-import decimal
 import itertools
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import CapabilityError, GuardExceededError
 from .model import Instance, ParseError, parse_money
@@ -23,38 +23,38 @@ class UndefinedShareError(ValueError):
     """share evaluated on a project with no approvers."""
 
 
-def _rationalize(x: Fraction, fn: str) -> Fraction:
-    with decimal.localcontext() as ctx:
+def _rationalize(x: Fraction, op: Callable[[Decimal], Decimal]) -> Fraction:
+    with localcontext() as ctx:
         ctx.prec = RATIONALIZE_DIGITS
-        d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-        if fn == "sqrt":
-            d = d.sqrt()
-        elif fn == "log1p":
-            d = (decimal.Decimal(1) + d).ln()
-        else:
-            raise ValueError(fn)
-    return Fraction(d)
+        return Fraction(op(Decimal(x.numerator) / Decimal(x.denominator)))
 
 
 @dataclass(frozen=True)
 class SatisfactionFunction:
-    """A monotone set function over projects with declared capability flags.
+    """A monotone set function over projects.
 
     For additive kinds ``per_project`` holds the exact per-project values;
     ``value`` sums them and keeps each sum per set, while a set it cannot
     value raises again on every call. The cc kind is the only non-additive
     built-in; any other kind without per-project values raises
-    ``CapabilityError`` from ``value``.
+    ``CapabilityError`` from ``value``. Whether the function is additive or
+    strictly increasing is read off ``per_project``, never declared.
     """
 
     kind: str
-    additive: bool
-    cost_neutral: bool
-    strictly_increasing: bool
-    per_project: Mapping[str, Fraction] | None = field(default=None)
+    per_project: Mapping[str, Fraction] | None = None
     _values: dict[frozenset[str], Fraction] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @property
+    def additive(self) -> bool:
+        return self.per_project is not None
+
+    @property
+    def strictly_increasing(self) -> bool:
+        """Adding a valued project strictly raises the value."""
+        return self.additive and all(v > 0 for v in self.per_project.values())
 
     def value(self, s: Iterable[str]) -> Fraction:
         s = frozenset(s)
@@ -89,52 +89,36 @@ def voter_satisfaction(
 # Built-in constructors
 
 
-def _additive(
-    kind: str, table: Mapping[str, Fraction], cost_neutral: bool = True
-) -> SatisfactionFunction:
-    return SatisfactionFunction(
-        kind=kind,
-        additive=True,
-        cost_neutral=cost_neutral,
-        strictly_increasing=True,
-        per_project=table,
-    )
-
-
 def cost_sat(inst: Instance) -> SatisfactionFunction:
-    return _additive("cost", {p: inst.costs[p] for p in inst.projects})
+    return SatisfactionFunction("cost", {p: inst.costs[p] for p in inst.projects})
 
 
 def cardinality_sat(inst: Instance) -> SatisfactionFunction:
-    return _additive("cardinality", {p: Fraction(1) for p in inst.projects})
+    return SatisfactionFunction("cardinality", {p: Fraction(1) for p in inst.projects})
 
 
 def sqrt_cost_sat(inst: Instance) -> SatisfactionFunction:
-    return _additive(
-        "sqrt_cost", {p: _rationalize(inst.costs[p], "sqrt") for p in inst.projects}
+    return SatisfactionFunction(
+        "sqrt_cost", {p: _rationalize(inst.costs[p], Decimal.sqrt) for p in inst.projects}
     )
 
 
 def log_cost_sat(inst: Instance) -> SatisfactionFunction:
-    return _additive(
-        "log_cost", {p: _rationalize(inst.costs[p], "log1p") for p in inst.projects}
+    return SatisfactionFunction(
+        "log_cost",
+        {p: _rationalize(inst.costs[p], lambda d: (1 + d).ln()) for p in inst.projects},
     )
 
 
 def cc_sat() -> SatisfactionFunction:
-    return SatisfactionFunction(
-        kind="cc", additive=False, cost_neutral=True, strictly_increasing=False
-    )
+    return SatisfactionFunction("cc")
 
 
 def share_sat(inst: Instance) -> SatisfactionFunction:
     """Per-project cost divided by approver count; undefined (and omitted)
     for projects nobody approves -- evaluating those raises."""
-    table = {}
-    for p, k in inst.approver_counts().items():
-        if k > 0:
-            table[p] = inst.costs[p] / k
-    return _additive("share", table, cost_neutral=False)
+    counts = inst.approver_counts()
+    return SatisfactionFunction("share", {p: inst.costs[p] / k for p, k in counts.items() if k})
 
 
 def table_sat(values: Mapping[str, object]) -> SatisfactionFunction:
@@ -142,7 +126,7 @@ def table_sat(values: Mapping[str, object]) -> SatisfactionFunction:
     for p, v in table.items():
         if v <= 0:
             raise ValueError(f"table value for {p!r} must be strictly positive")
-    return _additive("table", table, cost_neutral=False)
+    return SatisfactionFunction("table", table)
 
 
 def cost_map_sat(inst: Instance, cost_map: Mapping[object, object]) -> SatisfactionFunction:
@@ -161,7 +145,7 @@ def cost_map_sat(inst: Instance, cost_map: Mapping[object, object]) -> Satisfact
         if parsed[c] <= 0:
             raise ValueError(f"cost map value for cost {c} must be strictly positive")
         table[p] = parsed[c]
-    return _additive("cost_map", table)
+    return SatisfactionFunction("cost_map", table)
 
 
 BUILTINS = {
@@ -189,7 +173,7 @@ class DnsViolation:
 def check_dns(mu: SatisfactionFunction, inst: Instance) -> DnsViolation | None:
     """Return a violating project pair, or None if mu has weakly decreasing
     normalized satisfaction on this instance."""
-    if not mu.additive or mu.per_project is None:
+    if not mu.additive:
         raise CapabilityError("DNS classification requires an additive function")
     projects = [p for p in inst.projects if p in mu.per_project]
     by_cost = sorted(projects, key=lambda p: (inst.costs[p], p))
@@ -240,10 +224,14 @@ def dns_counterexample_instance(
     """Build an instance on which MES with cardinality satisfaction violates
     PJR-x for the additive function induced by a non-DNS cost-to-value map.
 
-    The map must break DNS at the pair (x, x'): either the pricier cost gives
-    strictly less value, or strictly more value per unit of cost.
+    The map's values must be positive, and it must break DNS at the pair
+    (x, x'): the pricier cost gives strictly less value, or strictly more
+    value per unit of cost.
     """
     s = {parse_money(c): parse_money(v) for c, v in cost_values.items()}
+    for c, v in s.items():
+        if v <= 0:
+            raise ValueError(f"cost map value for cost {c} must be strictly positive")
     x = parse_money(x)
     xp = parse_money(x_prime)
     if x > xp:
@@ -263,7 +251,7 @@ def dns_counterexample_instance(
 def _induced_mu(inst: Instance, s: Mapping[Fraction, Fraction], scale_c: Fraction,
                 scale_v: Fraction) -> SatisfactionFunction:
     # Instance costs are rescaled; map values through the original map.
-    return _additive(
+    return SatisfactionFunction(
         "cost_map", {p: s[inst.costs[p] * scale_c] * scale_v for p in inst.projects}
     )
 

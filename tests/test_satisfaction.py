@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 import pbprop
+from pbprop.axioms import audit_all
 from pbprop.errors import CapabilityError, GuardExceededError
 from pbprop.model import Instance, ParseError
 from pbprop.repro import priceable_not_pjrx_example, table_mu_example
@@ -92,12 +93,12 @@ def test_value_keeps_sums_but_not_failures():
 
 _NO_TABLE = """
 from pbprop.satisfaction import SatisfactionFunction
-SatisfactionFunction("custom", False, True, False).value({"a"})
+SatisfactionFunction("custom").value({"a"})
 """
 
 
 def test_value_without_table_raises_capability_error():
-    mu = SatisfactionFunction("custom", False, True, False)
+    mu = SatisfactionFunction("custom")
     with pytest.raises(CapabilityError):
         mu.value({"a"})
     assert cc_sat().value({"a"}) == 1  # cc needs no table
@@ -111,6 +112,25 @@ def test_value_without_table_raises_capability_error():
     )
     assert proc.returncode == 1
     assert "CapabilityError" in proc.stderr
+
+
+def test_capabilities_are_read_off_the_values():
+    for seed in range(6):
+        inst = make_instance(seed, max_n=5, max_m=6)
+        table = {p: Fraction(k + 1, 3) for k, p in enumerate(inst.projects)}
+        cost_map = {c: c * 2 for c in inst.costs.values()}
+        for mu in (cost_sat(inst), cardinality_sat(inst), sqrt_cost_sat(inst),
+                   log_cost_sat(inst), share_sat(inst), table_sat(table),
+                   cost_map_sat(inst, cost_map)):
+            assert mu.additive and mu.strictly_increasing, mu.kind
+    assert not cc_sat().additive and not cc_sat().strictly_increasing
+    flat = SatisfactionFunction("x", {"a": Fraction(0)})
+    assert flat.additive and not flat.strictly_increasing
+    inst = Instance.create({"a": 1}, [{"a"}], 1)
+    assert audit_all(inst, flat, set()).strictly_increasing is False
+    for name in ("additive", "strictly_increasing"):
+        with pytest.raises(TypeError):
+            SatisfactionFunction("x", {"a": Fraction(1)}, **{name: True})
 
 
 def test_share_value_on_priceable_example():
@@ -193,7 +213,7 @@ def test_strict_cost_responsiveness_guard():
         is_strictly_cost_responsive(cost_sat(inst), inst)
 
 
-def test_cost_neutral_permutation_invariance():
+def test_builtins_invariant_under_project_renaming():
     inst = make_instance(3, max_n=3, max_m=5)
     renamed = {p: f"q{k}" for k, p in enumerate(sorted(inst.projects))}
     other = Instance.create(
@@ -212,6 +232,9 @@ def test_counterexample_requires_dns_break():
         dns_counterexample_instance({"1": 1, "2": 2}, "1", "2")
     with pytest.raises(ValueError):
         dns_counterexample_instance({"1": 1, "2": "0.5"}, "2", "1")  # x > x'
+    for bad in ({"2": "1", "3": "-1"}, {"2": "1", "3": "0"}):  # values must be positive
+        with pytest.raises(ValueError, match="^cost map value for cost 3 must be strictly"):
+            dns_counterexample_instance(bad, "2", "3")
 
 
 def test_counterexample_instances_are_valid():
