@@ -90,11 +90,6 @@ class Demand:
     min_size: int  # smallest group size whose budget share covers c(T)
 
     @cached_property
-    def approvers(self) -> tuple[int, ...]:
-        """N_T in ascending order: every holder of a ballot containing T."""
-        return tuple(sorted(i for _, holders in self.types for i in holders))
-
-    @cached_property
     def signatures(self) -> tuple[Signature, ...]:
         """`_group_signatures` of the ballot types, computed on first use."""
         return tuple(_group_signatures(self.types, self.min_size))
@@ -139,20 +134,20 @@ def _ejr_family(
     mu: SatisfactionFunction,
     outcome,
     axiom: str,
-    unmet: Callable[[frozenset[str], frozenset[str], Fraction], tuple | None],
+    unmet: Callable[[frozenset[str], frozenset[str], frozenset[str], Fraction], tuple | None],
     max_m: int,
     max_n: int,
     skip_covered: bool = False,
 ) -> Violation | None:
-    """`unmet(ballot, T, mu(T))` is None when the ballot's holders are satisfied,
-    else (lhs, detail). Demands with T inside the outcome can be skipped."""
-    _guard(inst, max_m, max_n)
+    """`unmet(ballot, W, T, mu(T))` is None when the ballot's holders are
+    satisfied, else (lhs, detail). Demands with T inside W can be skipped."""
     w = inst.check_outcome(outcome)
+    _guard(inst, max_m, max_n)
     for d in demand_sets(inst):
         target = mu.value(d.t)
         if skip_covered and d.t <= w:
             continue
-        failed = [(h, f) for b, h in d.types if (f := unmet(b, d.t, target)) is not None]
+        failed = [(h, f) for b, h in d.types if (f := unmet(b, w, d.t, target)) is not None]
         if sum(len(h) for h, _ in failed) >= d.min_size:
             holders, (lhs, detail) = failed[0]  # holds the lowest unsatisfied voter
             group = frozenset(i for h, _ in failed for i in h)
@@ -170,9 +165,7 @@ def check_ejr(
 ) -> Violation | None:
     """Extended justified representation: every cohesive group contains a
     voter whose satisfaction with the outcome matches their demand."""
-    w = frozenset(outcome)
-
-    def unmet(ballot, t, target):
+    def unmet(ballot, w, t, target):
         got = mu.value(ballot & w)
         return None if got >= target else (got, {})
 
@@ -188,10 +181,9 @@ def check_ejr1(
 ) -> Violation | None:
     """EJR up to one project: some group member would beat the demand if
     any single unchosen project were added."""
-    w = frozenset(outcome)
     best_with_rescue: dict[frozenset[str], Fraction] = {}
 
-    def unmet(ballot, t, target):
+    def unmet(ballot, w, t, target):
         # Adding a project the voter does not approve changes nothing, so
         # the best rescue is independent of T and cached per ballot type.
         if ballot not in best_with_rescue:
@@ -213,9 +205,7 @@ def check_ejr1_plus(
     max_n: int = 14,
 ) -> Violation | None:
     """EJR up to one project drawn from the demanded set itself."""
-    w = frozenset(outcome)
-
-    def unmet(ballot, t, target):
+    def unmet(ballot, w, t, target):
         share = ballot & w
         best = max(mu.value(share | {p}) for p in t - w)
         return None if best > target else (best, {})
@@ -234,9 +224,7 @@ def check_ejrx(
 ) -> Violation | None:
     """EJR up to any project: some group member beats the demand no matter
     which single project from the demanded set is added."""
-    w = frozenset(outcome)
-
-    def unmet(ballot, t, target):
+    def unmet(ballot, w, t, target):
         share = ballot & w
         worst, p = min((mu.value(share | {p}), p) for p in t - w)
         return None if worst > target else (worst, {"project": p})
@@ -276,20 +264,20 @@ def _pjr_family(
     inst: Instance,
     outcome,
     axiom: str,
-    unmet: Callable[[Demand, frozenset[str], frozenset[str]], tuple | None],
+    unmet: Callable[[Demand, frozenset[str], frozenset[str], frozenset[str]], tuple | None],
     max_m: int,
     max_n: int,
     skip_covered: bool = False,
 ) -> Violation | None:
-    """`unmet(demand, intersection, share)` is None when the representative group
-    passes, else (lhs, rhs, detail); share is the outcome within its union."""
-    _guard(inst, max_m, max_n)
+    """`unmet(demand, W, intersection, share)` is None when the representative
+    group passes, else (lhs, rhs, detail); share is W within its union."""
     w = inst.check_outcome(outcome)
+    _guard(inst, max_m, max_n)
     for d in demand_sets(inst):
         if skip_covered and d.t <= w:
             continue
         for group, inter, union in d.signatures:
-            failed = unmet(d, inter, w & union)
+            failed = unmet(d, w, inter, w & union)
             if failed is not None:
                 return Violation(axiom, CohesiveWitness(d.t, group), *failed)
     return None
@@ -308,7 +296,7 @@ def check_pjr(
     Any violating group shares its ballot signature with one of the
     enumerated representatives, so the search is exhaustive."""
 
-    def unmet(d, inter, share):
+    def unmet(d, w, inter, share):
         target = mu.value(d.t)
         got = mu.value(share)
         return None if got >= target else (got, target, {})
@@ -325,9 +313,7 @@ def check_pjrx(
 ) -> Violation | None:
     """PJR up to any project: adding any single project from the demanded
     set to the group's share must beat the demand."""
-    w = frozenset(outcome)
-
-    def unmet(d, inter, share):
+    def unmet(d, w, inter, share):
         target = mu.value(d.t)
         for p in sorted(d.t - w):
             got = mu.value(share | {p})
@@ -348,9 +334,7 @@ def check_pjr1(
     """PJR up to one project, with the rescuing project drawn from the
     group's common ballot. The common ballot shrinks as the group grows,
     so every achievable intersection/union signature is examined."""
-    w = frozenset(outcome)
-
-    def unmet(d, inter, share):
+    def unmet(d, w, inter, share):
         target = mu.value(d.t)
         options = sorted(inter - w)
         if any(mu.value(share | {p}) > target for p in options):
@@ -376,7 +360,7 @@ def check_local_bpjr(
     a demand (the group approves S and affords it), so the best-set search
     scans the shared demand list; the empty set never extends a share."""
 
-    def unmet(d, inter, share):
+    def unmet(d, w, inter, share):
         if not share <= inter:
             return None  # no subset of the common ballot can extend it
         best_val = mu.value(frozenset())
@@ -465,6 +449,7 @@ def audit_all(
 ) -> AuditReport:
     """Run the named checkers (all by default) and verify that their
     verdicts respect the implication lattice."""
+    w = inst.check_outcome(outcome)
     report = AuditReport(results={}, strictly_increasing=mu.strictly_increasing)
     names = list(axioms) if axioms is not None else list(AXIOM_CHECKERS)
     for name in names:
@@ -473,7 +458,7 @@ def audit_all(
         except KeyError:
             raise ValueError(f"unknown axiom {name!r}")
         try:
-            report.results[name] = checker(inst, mu, outcome)
+            report.results[name] = checker(inst, mu, w)
         except GuardExceededError as exc:
             report.guard_errors[name] = str(exc)
     bad = report.inconsistencies()

@@ -245,13 +245,10 @@ class Instance:
             raise InstanceError("outcome exceeds the budget")
         return w
 
-    def is_exhaustive(self, s: Iterable[str]) -> bool:
-        s = set(s)
-        spent = self.total_cost(s)
-        if spent > self.budget:
-            raise InstanceError("is_exhaustive requires a feasible outcome")
-        residual = self.budget - spent
-        return all(self.costs[p] > residual for p in self.projects if p not in s)
+    def is_exhaustive(self, outcome: Iterable[str]) -> bool:
+        w = self.check_outcome(outcome)
+        residual = self.budget - self.total_cost(w)
+        return all(self.costs[p] > residual for p in self.projects if p not in w)
 
     def approvers(self, p: str) -> frozenset[int]:
         self._check_known([p])

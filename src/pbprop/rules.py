@@ -59,7 +59,6 @@ class RuleTrace:
     blocking: tuple[str, Fraction] | None = None
     skipped: list[str] = field(default_factory=list)
     exhaustive: bool | None = None
-    mu_kind: str | None = None
 
     @property
     def payments(self) -> dict[str, dict[int, Fraction]]:
@@ -264,7 +263,7 @@ def run_mes(
         ladder = sorted(classes.histogram(p).items())
         return _ladder_rho(ladder, classes.den, inst.costs[p], units[p])
 
-    trace = RuleTrace(rule="mes", mu_kind=mu.kind)
+    trace = RuleTrace(rule="mes")
     for p, best in _select(inst, candidates, rho, classes.stale, tie, trace):
         price = best * units[p]
         per = classes.histogram(p)
@@ -457,13 +456,13 @@ def run_gcr(
     then retire the maximal such group. Exponential; size-guarded."""
     _guard(inst, max_m, max_n)
     chosen: set[str] = set()
-    active = set(inst.voters)
+    active = set(inst.ballot_types())  # unserved: a group retires whole ballot types
     while True:
-        # demands that the still-active voters can afford, by sorted ids
+        # demands that the holders of unserved ballots can afford, by sorted ids
         grantable = {
             tuple(sorted(d.t)): d
             for d in demand_sets(inst)
-            if not d.t & chosen and len(active.intersection(d.approvers)) >= d.min_size
+            if not d.t & chosen and sum(len(h) for b, h in d.types if b in active) >= d.min_size
         }
         if not grantable:
             break
@@ -471,5 +470,5 @@ def run_gcr(
         top = max(values.values())
         best = grantable[_pick((ids for ids, v in values.items() if v == top), tie)]
         chosen |= best.t
-        active.difference_update(best.approvers)
+        active.difference_update(b for b, _ in best.types)
     return frozenset(chosen)

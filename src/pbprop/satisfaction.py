@@ -129,23 +129,27 @@ def table_sat(values: Mapping[str, object]) -> SatisfactionFunction:
     return SatisfactionFunction("table", table)
 
 
-def cost_map_sat(inst: Instance, cost_map: Mapping[object, object]) -> SatisfactionFunction:
-    """Additive function induced by a map from cost to satisfaction value."""
+def _cost_values(cost_map: Mapping[object, object]) -> dict[Fraction, Fraction]:
+    """A map from cost to satisfaction value, read as money. Refuses a cost
+    named twice and a value that is not strictly positive."""
     parsed: dict[Fraction, Fraction] = {}
     for c, v in cost_map.items():
         cost = parse_money(c)
         if cost in parsed:  # "2" and "2.0" name one cost
             raise ParseError(f"cost map names cost {cost} twice")
         parsed[cost] = parse_money(v)
-    table = {}
+        if parsed[cost] <= 0:
+            raise ValueError(f"cost map value for cost {cost} must be strictly positive")
+    return parsed
+
+
+def cost_map_sat(inst: Instance, cost_map: Mapping[object, object]) -> SatisfactionFunction:
+    """Additive function induced by a map from cost to satisfaction value."""
+    parsed = _cost_values(cost_map)
     for p in inst.projects:
-        c = inst.costs[p]
-        if c not in parsed:
-            raise ValueError(f"cost map has no entry for cost {c}")
-        if parsed[c] <= 0:
-            raise ValueError(f"cost map value for cost {c} must be strictly positive")
-        table[p] = parsed[c]
-    return SatisfactionFunction("cost_map", table)
+        if inst.costs[p] not in parsed:
+            raise ValueError(f"cost map has no entry for cost {inst.costs[p]}")
+    return SatisfactionFunction("cost_map", {p: parsed[inst.costs[p]] for p in inst.projects})
 
 
 BUILTINS = {
@@ -228,10 +232,7 @@ def dns_counterexample_instance(
     (x, x'): the pricier cost gives strictly less value, or strictly more
     value per unit of cost.
     """
-    s = {parse_money(c): parse_money(v) for c, v in cost_values.items()}
-    for c, v in s.items():
-        if v <= 0:
-            raise ValueError(f"cost map value for cost {c} must be strictly positive")
+    s = _cost_values(cost_values)
     x = parse_money(x)
     xp = parse_money(x_prime)
     if x > xp:

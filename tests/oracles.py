@@ -121,7 +121,7 @@ def eager_mes(inst, mu, tie="lex"):
     """Method of Equal Shares with per-voter budgets."""
     candidates = [p for p in inst.projects if inst.approvers(p)]
     budgets = {i: inst.budget / inst.n for i in inst.voters}
-    trace = RuleTrace(rule="mes", mu_kind=mu.kind)
+    trace = RuleTrace(rule="mes")
     chosen = []
     while True:
         offers = {}

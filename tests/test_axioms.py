@@ -105,6 +105,19 @@ def test_outcome_must_be_feasible():
         check_ejr(inst, cost_sat(inst), {"a", "b"})
 
 
+def test_checkers_read_a_one_shot_outcome_once(tiny_instances):
+    # an outcome given as an iterator must be read as the set it yields
+    inst = unit_cost_separation_example()
+    cases = [(inst, cost_sat(inst), {"p1", "p2"})]
+    cases += [(inst, mu, random_outcome(inst, k + 2000))
+              for k, inst in enumerate(tiny_instances[:30])
+              for mu in (cost_sat(inst), cardinality_sat(inst))]
+    for inst, mu, w in cases:
+        for checker in AXIOM_CHECKERS.values():
+            assert checker(inst, mu, iter(w)) == checker(inst, mu, w)
+        assert audit_all(inst, mu, iter(w)) == audit_all(inst, mu, w)
+
+
 # ---------------------------------------------------------------------------
 # violations are reproducible witnesses
 
@@ -173,7 +186,7 @@ def test_demand_sets_match_oracle(tiny_instances, small_instances):
         assert [d.t for d in demands] == expected
         for d in demands:
             approvers = [i for i in inst.voters if d.t <= inst.approval(i)]
-            assert list(d.approvers) == approvers
+            assert sorted(i for _, holders in d.types for i in holders) == approvers
             assert d.cost == inst.total_cost(d.t)
             # min_size is the smallest group whose budget share covers c(T)
             assert d.min_size * inst.budget >= inst.n * d.cost

@@ -265,9 +265,13 @@ def test_price_verify_refuses_an_outcome_over_the_budget(capsys, tmp_path):
     inst.write_text(emit_json(Instance.create({"a": 1, "b": 1}, [{"a", "b"}, {"a", "b"}], 1)))
     system = tmp_path / "ps.json"
     system.write_text('{"B": "2", "payments": {"1": {"a": "1"}, "2": {"b": "1"}}}')
+    # n = 15 is past every audit guard, and the outcome is still checked first
+    big = tmp_path / "big.json"
+    big.write_text(emit_json(Instance.create({"a": 2, "b": 1}, [{"a", "b"}] * 15, 1)))
     for argv in (["price", "verify", "--strict-b", "--c6", str(inst), "a,b", str(system)],
                  ["price", "find", str(inst), "a,b"],
-                 ["audit", str(inst), "a,b"]):
+                 ["audit", str(inst), "a,b"],
+                 ["audit", str(big), "a"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", "pb: outcome exceeds the budget\n"), argv
 
@@ -283,6 +287,14 @@ def test_price_find(capsys, inst_file):
     )
     assert code == 2
     assert json.loads(out)["found"] is False
+
+
+def test_price_find_guard_exit_code(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(emit_json(Instance.create({"a": 1}, [{"a"}] * 65, 1)))
+    code, out, err = run_cli(capsys, "price", "find", str(path), "a")
+    assert (code, out, err) == (
+        3, "", "pb: guard exceeded: 65 payment variables exceed guard 64\n")
 
 
 @pytest.mark.parametrize("rule", ["phragmen", "maximin"])
@@ -466,6 +478,22 @@ def test_cost_map_with_two_keys_for_one_cost_is_parse_error(capsys, inst_file, t
     assert (code, out, err) == (1, "", "pb: cost map names cost 3 twice\n")
 
 
+@pytest.mark.parametrize("selector, values, builtin, kind", [
+    ("table", {"p1": 1, "p2": 1, "p3": 1}, "card", "table"),
+    ("costmap", {"3": "3", "1": "1"}, "cost", "cost_map"),
+])
+def test_run_with_a_sat_file(capsys, inst_file, tmp_path, selector, values, builtin, kind):
+    # the file's values equal the builtin's, so only the "sat" name differs
+    path = tmp_path / "sat.json"
+    path.write_text(json.dumps(values))
+    code, out, _ = run_cli(capsys, "run", "--rule", "mes", "--sat", f"{selector}:{path}",
+                           inst_file)
+    _, want, _ = run_cli(capsys, "run", "--rule", "mes", "--sat", builtin, inst_file)
+    assert code == 0
+    assert json.loads(out)["sat"] == kind
+    assert out == want.replace(f'"sat": "{json.loads(want)["sat"]}"', f'"sat": "{kind}"', 1)
+
+
 @pytest.mark.parametrize("selector", ["table", "costmap"])
 @pytest.mark.parametrize("verb", [["run", "--rule", "mes"], ["audit"]])
 def test_sat_file_must_hold_an_object(capsys, inst_file, tmp_path, selector, verb):
@@ -586,6 +614,19 @@ def test_random_audit_sweep_imports_its_own_checkout(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].split()[:3] == ["rule", "sat", "ejr"]
+
+
+def test_compare_outputs_finds_no_difference_with_itself(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "compare_outputs.py"), str(root),
+         "--seeds", "2"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(": 0 differ\n")
 
 
 def test_baseline_rows_writes_bench_json(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,11 @@ def test_extraction_checks_trace_origin(shared_big_project):
     _, tr = run_mes(shared_big_project, cost_sat(shared_big_project))
     with pytest.raises(ExtractionUnavailableError):
         extract_from_phragmen_trace(shared_big_project, tr)
+    with pytest.raises(ExtractionUnavailableError, match="^trace reports a non-positive"):
+        extract_from_mes_trace(shared_big_project, replace(tr, delta=Fraction(0)))
+    _, tr = run_seq_phragmen(shared_big_project)
+    with pytest.raises(ExtractionUnavailableError, match="^trace does not come from an MES"):
+        extract_from_mes_trace(shared_big_project, tr)
 
 
 def test_extracted_systems_verify_on_random_instances():

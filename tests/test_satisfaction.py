@@ -147,6 +147,8 @@ def test_table_and_cost_map(inst):
     assert cm.value({"a", "b"}) == Fraction(9, 8)
     with pytest.raises(ValueError):
         cost_map_sat(inst, {"4": 1})  # costs 1 and 9/4 unmapped
+    with pytest.raises(ValueError, match="^cost map value for cost 7 must be strictly"):
+        cost_map_sat(inst, {"4": 1, "1": "1/8", "9/4": "2", "7": 0})  # no project costs 7
 
 
 def test_cost_map_refuses_two_keys_for_one_cost(inst):
@@ -235,6 +237,10 @@ def test_counterexample_requires_dns_break():
     for bad in ({"2": "1", "3": "-1"}, {"2": "1", "3": "0"}):  # values must be positive
         with pytest.raises(ValueError, match="^cost map value for cost 3 must be strictly"):
             dns_counterexample_instance(bad, "2", "3")
+    with pytest.raises(ParseError, match="^cost map names cost 2 twice$"):
+        dns_counterexample_instance({"1": "1", "2": "0.5", "2.0": "3"}, "1", "2")
+    with pytest.raises(ValueError, match="^map must cover both costs$"):
+        dns_counterexample_instance({"1": "1", "2": "0.5"}, "1", "3")
 
 
 def test_counterexample_instances_are_valid():
