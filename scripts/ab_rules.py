@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time parsing, MES[card], MES[cost] and Phragmen here against another checkout.
+"""Time parsing, MES[card], MES[cost], Phragmen and maximin support here
+against another checkout.
 
 Both checkouts' ``src/pbprop`` are imported in one process under their own
 package names, ``pbprop_this`` and ``pbprop_other``, so the two codes share
@@ -7,9 +8,11 @@ one interpreter and one machine state and compare more steadily than
 separate benchmark runs. The instances are those of the benchmark's
 ``elect-uniform`` and ``elect-clustered`` parts on seed 1, drawn by this
 checkout's ``perfbench/`` and parsed by each code from the same JSON or
-``.pb`` text. In each of 15 rounds every rule runs on every instance in
-both codes, back to back, in an order that alternates from one instance and
-one round to the next. Each pair of runs must give the same outcome and
+``.pb`` text; MES and Phragmen run on them. Maximin support runs on the
+instances of the benchmark's ``price`` part on seed 1, as its maximin jobs
+do. In each of 15 rounds every rule runs on every instance of its workload
+in both codes, back to back, in an order that alternates from one instance
+and one round to the next. Each pair of runs must give the same outcome and
 equal traces, compared as ``baseline_rows.canonical`` reads them: payments
 expanded per voter and sorted by voter, every other field as it is. Each
 round also parses every text in both codes, alternating alike, and the two
@@ -20,8 +23,8 @@ and the rounds in which this checkout was faster, for the parse, for each
 rule and for ``all``. The per-rule rows time the rule alone on instances
 parsed before the timed loop, so they leave instance construction out: work
 that moves between building an ``Instance`` and running a rule shows there
-as a change in the rule. The ``all`` row sums the parse and the three rules
-of each round, and is the one to read for such a move.
+as a change in the rule. The ``all`` row sums the parse and the rules of
+each round, and is the one to read for such a move.
 
 Example:
     python scripts/ab_rules.py ../pbprop-parent
@@ -31,6 +34,7 @@ import importlib
 import importlib.util
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -39,7 +43,9 @@ from baseline_rows import canonical
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 15
 SEED = 1
-RULES = ("mes-card", "mes-cost", "phragmen")
+RULES = {"uniform": ("mes-card", "mes-cost", "phragmen"),
+         "clustered": ("mes-card", "mes-cost", "phragmen"),
+         "price": ("maximin",)}
 
 
 def load(name: str, checkout: Path):
@@ -66,7 +72,11 @@ def texts() -> dict[str, list[tuple[str, str]]]:
     clustered = [("pb", elections.clustered(workloads._rng("elect-clustered", SEED, k),
                                             n, m).to_pabulib())
                  for k, (n, m) in enumerate(workloads.GRIDS["elect-clustered"])]
-    return {"uniform": uniform, "clustered": clustered}
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs, _ = workloads._price("price", SEED, Path(tmp), workloads.GRIDS["price"])
+        price = [("json", Path(path).read_text())
+                 for path in dict.fromkeys(job.instance for job in jobs)]
+    return {"uniform": uniform, "clustered": clustered, "price": price}
 
 
 def parse_in(pkg, fmt: str):
@@ -84,14 +94,15 @@ def same_instance(a, b) -> bool:
 
 
 def calls(pkg, fmt: str, text: str) -> dict:
-    """The three rule runs of one instance in one code, as thunks."""
+    """The rule runs of one instance in one code, as thunks."""
     rules = importlib.import_module(f"{pkg.__name__}.rules")
     sat = importlib.import_module(f"{pkg.__name__}.satisfaction")
     inst = parse_in(pkg, fmt)(text)
     card, cost = sat.cardinality_sat(inst), sat.cost_sat(inst)
     return {"mes-card": lambda: rules.run_mes(inst, card),
             "mes-cost": lambda: rules.run_mes(inst, cost),
-            "phragmen": lambda: rules.run_seq_phragmen(inst)}
+            "phragmen": lambda: rules.run_seq_phragmen(inst),
+            "maximin": lambda: rules.run_maximin_support(inst)}
 
 
 def main(argv=None) -> int:
@@ -100,8 +111,9 @@ def main(argv=None) -> int:
     other = parser.parse_args(argv).other.resolve()
     codes = (load("pbprop_this", ROOT), load("pbprop_other", other))
     for workload, instances in texts().items():
+        rules = RULES[workload]
         runs = [[calls(pkg, fmt, text) for pkg in codes] for fmt, text in instances]
-        seconds = {rule: [[0.0, 0.0] for _ in range(ROUNDS)] for rule in ("parse",) + RULES}
+        seconds = {rule: [[0.0, 0.0] for _ in range(ROUNDS)] for rule in ("parse",) + rules}
         for r in range(ROUNDS):
             for k, pair in enumerate(runs):
                 order = (0, 1) if (r + k) % 2 == 0 else (1, 0)
@@ -114,7 +126,7 @@ def main(argv=None) -> int:
                     seconds["parse"][r][side] += perf_counter() - start
                 if r == 0 and not same_instance(*parsed):
                     raise SystemExit(f"{workload} instance {k}: parsed instances differ")
-                for rule in RULES:
+                for rule in rules:
                     results = [None, None]
                     for side in order:
                         start = perf_counter()
@@ -123,9 +135,9 @@ def main(argv=None) -> int:
                     (w_this, t_this), (w_other, t_other) = results
                     if w_this != w_other or canonical(t_this) != canonical(t_other):
                         raise SystemExit(f"{workload} instance {k} {rule}: traces differ")
-        for rule in ("parse",) + RULES + ("all",):
+        for rule in ("parse",) + rules + ("all",):
             rounds = (seconds[rule] if rule != "all" else
-                      [[sum(seconds[q][r][s] for q in ("parse",) + RULES) for s in (0, 1)]
+                      [[sum(seconds[q][r][s] for q in ("parse",) + rules) for s in (0, 1)]
                        for r in range(ROUNDS)])
             this, that = (statistics.median(t[s] for t in rounds) for s in (0, 1))
             wins = sum(t[0] < t[1] for t in rounds)

@@ -191,10 +191,10 @@ class Instance:
         types: dict[frozenset[str], list[int]] = {}
         for i, ballot in enumerate(self.approvals, start=1):
             types.setdefault(ballot, []).append(i)
-        for ballot, holders in types.items():  # by lowest holder
-            unknown = sorted(ballot.difference(self.costs))
-            if unknown:
-                raise InstanceError(f"voter {holders[0]} approves unknown projects {unknown}")
+        if not self.costs.keys() >= frozenset().union(*types):
+            for ballot, holders in types.items():  # by lowest holder
+                if unknown := sorted(ballot.difference(self.costs)):
+                    raise InstanceError(f"voter {holders[0]} approves unknown projects {unknown}")
         object.__setattr__(self, "_types", types)
 
     @classmethod
@@ -237,17 +237,21 @@ class Instance:
         self._check_known(s)
         return sum((self.costs[p] for p in s), Fraction(0))
 
-    def check_outcome(self, outcome: Iterable[str]) -> frozenset[str]:
-        """The outcome as a set, refused unless its ids are known and it fits
-        the budget."""
+    def _spent(self, outcome: Iterable[str]) -> tuple[frozenset[str], Fraction]:
+        """The outcome as a set and its cost, refused unless its ids are
+        known and it fits the budget."""
         w = frozenset(outcome)
-        if self.total_cost(w) > self.budget:
+        cost = self.total_cost(w)
+        if cost > self.budget:
             raise InstanceError("outcome exceeds the budget")
-        return w
+        return w, cost
+
+    def check_outcome(self, outcome: Iterable[str]) -> frozenset[str]:
+        return self._spent(outcome)[0]
 
     def is_exhaustive(self, outcome: Iterable[str]) -> bool:
-        w = self.check_outcome(outcome)
-        residual = self.budget - self.total_cost(w)
+        w, cost = self._spent(outcome)
+        residual = self.budget - cost
         return all(self.costs[p] > residual for p in self.projects if p not in w)
 
     def approvers(self, p: str) -> frozenset[int]:

@@ -339,70 +339,115 @@ def run_seq_phragmen(
 # Min-max load balancing (exact)
 
 
-def balance_loads(inst: Instance, w: Iterable[str]) -> LoadAssignment:
-    """Spread each chosen project's cost over its approvers so that the
-    maximum per-voter total load is minimized; exact optimum.
+def _load_flow(
+    lam: Fraction, w: list[str], unit: int, cost: dict[str, int], weights: list[int],
+    members: dict[str, list[int]]) -> tuple[FlowNetwork, list[list[int]], bool, int]:
+    """Edmonds-Karp's flow at the load cap lam: source -> node j
+    (``weights[j]`` caps) -> each p in w whose ``members[p]`` lists j ->
+    sink (``cost[p]`` over ``unit``). Returns the network, each p's arcs,
+    whether the costs fit, and the int scale; node j's source edge is edge
+    2j. While a path source -> node -> p -> sink has room, a search takes
+    the first such node and its first such p in w order, so those paths are
+    filled first, in that order."""
+    scale = lcm(unit, lam.denominator)
+    k, total, cap = scale // unit, sum(cost.values()), lam.numerator * (scale // lam.denominator)
+    net = FlowNetwork(len(weights) + len(w) + 2)
+    for j, weight in enumerate(weights):
+        net.add_edge(0, j + 1, weight * cap)
+    # effectively unbounded, so that a min cut has only source and sink edges
+    arcs, paths, unbounded = [], [[] for _ in weights], (total + unit) * k
+    for node, p in enumerate(w, len(weights) + 1):
+        arcs.append([net.add_edge(j + 1, node, unbounded) for j in members[p]])
+        out = net.add_edge(node, net.n - 1, cost[p] * k)
+        for j, arc in zip(members[p], arcs[-1]):
+            paths[j].append((2 * j, arc, out))
+    net.paths = [path for by_node in paths for path in by_node]
+    return net, arcs, net.max_flow(0, net.n - 1) == total * k, scale
 
-    Feasibility of a load cap is a max-flow question; the cap is raised to
-    the ratio c(S)/|N(S)| of the min-cut's violating project set S until
-    feasible, which terminates at the optimum max_S c(S)/|N(S)|. The flows
-    run on ints: costs are counted in units of 1/lcm(cost denominators),
-    each flow scales its capacities by the lcm of that and the cap's
-    denominator, and only the returned loads and caps are Fractions.
-    """
-    w = sorted(set(w))
-    if not w:
-        return LoadAssignment(loads={}, max_load=Fraction(0))
-    supporters = {p: inst.approvers(p) for p in w}
-    for p, sup in supporters.items():
-        if not sup:
-            raise InstanceError(f"project {p!r} in the outcome has no approvers")
-    voters = sorted(set().union(*supporters.values()))
-    v_node = {i: k + 1 for k, i in enumerate(voters)}
-    p_node = {p: len(voters) + 1 + k for k, p in enumerate(w)}
-    sink = len(voters) + len(w) + 1
+
+def _scaled_costs(inst: Instance, w: list[str]) -> tuple[int, dict[str, int]]:
     unit = lcm(*(inst.costs[p].denominator for p in w))
-    cost = {p: inst.costs[p].numerator * (unit // inst.costs[p].denominator) for p in w}
-    total = sum(cost.values())
+    return unit, {p: inst.costs[p].numerator * (unit // inst.costs[p].denominator) for p in w}
 
-    def attempt(lam: Fraction) -> tuple[FlowNetwork, dict, int, int]:
-        scale = lcm(unit, lam.denominator)
-        k = scale // unit
-        net = FlowNetwork(sink + 1)
-        cap = lam.numerator * (scale // lam.denominator)
-        for i in voters:
-            net.add_edge(0, v_node[i], cap)
-        # effectively unbounded: must never saturate, so that the min cut
-        # consists of source and sink edges only
-        unbounded = (total + unit) * k
-        arc = {}
-        for p in w:
-            for i in supporters[p]:
-                arc[(i, p)] = net.add_edge(v_node[i], p_node[p], unbounded)
-            net.add_edge(p_node[p], sink, cost[p] * k)
-        return net, arc, net.max_flow(0, sink) == total * k, scale
 
-    lam = Fraction(total, unit * len(voters))
-    while True:
-        net, arc, feasible, scale = attempt(lam)
+def _max_ratio(inst: Instance, w: list[str], start=(Fraction(0), frozenset()),
+               guesses: Iterable[frozenset[str]] = ()) -> tuple[Fraction, frozenset[str]]:
+    """The largest c(S)/|N(S)| over the nonempty subsets S of the list w, and
+    such an S. The cap starts at the best of w, ``start`` (a ratio and its S)
+    and the ``guesses``, and rises to a min cut's ratio until a greedy fill
+    or a flow, over one node per ballot restricted to w, carries the costs.
+    Every maximum flow leaves the same min cut, so the routing is free."""
+    wset = frozenset(w)
+    weight: dict[frozenset[str], int] = {}
+    for ballot, holders in inst.ballot_types().items():
+        if r := ballot & wset:
+            weight[r] = weight.get(r, 0) + len(holders)
+    types = sorted(weight, key=len)  # narrow ballots fill first
+    weights = [weight[r] for r in types]
+    members: dict[str, list[int]] = {p: [] for p in w}
+    for j, r in enumerate(types):
+        for p in r:
+            members[p].append(j)
+    if missing := [p for p in w if not members[p]]:
+        raise InstanceError(f"project {missing[0]!r} in the outcome has no approvers")
+    unit, cost = _scaled_costs(inst, w)
+    size = {p: sum(weights[j] for j in members[p]) for p in w}  # |N(p)|
+
+    def ratio(s: frozenset[str]) -> tuple[int, int]:  # c(S)/|N(S)| as ints
+        group = set().union(*(members[p] for p in s))
+        return sum(cost[p] for p in s), unit * sum(weights[j] for j in group)
+
+    lam, dense = start
+    for s in (wset, *guesses):
+        num, den = ratio(s)
+        if num * lam.denominator > lam.numerator * den:
+            lam, dense = Fraction(num, den), s
+    while len(w) > 1:
+        k = lcm(unit, lam.denominator) // unit
+        cap = lam.numerator * (unit * k // lam.denominator)
+        room = [weight * cap for weight in weights]
+        order = sorted(w, key=lambda p: cap * size[p] - cost[p] * k)  # least slack first
+        for p in order:
+            need = cost[p] * k
+            for j in members[p]:
+                room[j], need = max(room[j] - need, 0), max(need - room[j], 0)
+            if need:
+                break
+        else:
+            break  # the greedy fill carries every cost
+        net, _, feasible, _ = _load_flow(lam, order, unit, cost, weights, members)
         if feasible:
             break
-        short = [p for p in w if net.labels[p_node[p]] == -1]  # sink side of the cut
-        group = set().union(*(supporters[p] for p in short))
-        better = Fraction(sum(cost[p] for p in short), unit * len(group))
+        dense = frozenset(p for node, p in enumerate(order, len(types) + 1)
+                          if net.labels[node] == -1)
+        better = Fraction(*ratio(dense))
         if better <= lam:
             raise InvariantError("the min cut did not raise the load cap")
         lam = better
-    loads = {}
-    totals = dict.fromkeys(voters, 0)
-    for p in w:
-        loads[p] = {}
-        for i in supporters[p]:
-            flow = net.flow_on(arc[(i, p)])
-            if flow > 0:
-                loads[p][i] = Fraction(flow, scale)
-                totals[i] += flow
-    if Fraction(max(totals.values()), scale) != lam:
+    return lam, dense
+
+
+def balance_loads(
+    inst: Instance, w: Iterable[str], max_load: Fraction | None = None
+) -> LoadAssignment:
+    """Spread each chosen project's cost over its approvers so that the
+    maximum per-voter total load is minimized; exact optimum. The loads are
+    the flows over the voters at the optimal cap, ``max_load`` if given."""
+    w = sorted(set(w))
+    if not w:
+        return LoadAssignment(loads={}, max_load=Fraction(0))
+    lam = _max_ratio(inst, w)[0] if max_load is None else max_load
+    supporters = {p: inst.approvers(p) for p in w}
+    index = {i: j for j, i in enumerate(sorted(set().union(*supporters.values())))}
+    net, arcs, feasible, scale = _load_flow(
+        lam, w, *_scaled_costs(inst, w), [1] * len(index),
+        {p: [index[i] for i in sup] for p, sup in supporters.items()})
+    if not feasible:
+        raise InvariantError("balanced loads do not carry the costs")
+    loads = {p: {i: Fraction(flow, scale) for i, idx in zip(supporters[p], arc)
+                 if (flow := net.flow_on(idx)) > 0} for p, arc in zip(w, arcs)}
+    # a voter's total load is the flow on their source edge
+    if Fraction(max(net.flow_on(2 * j) for j in index.values()), scale) != lam:
         raise InvariantError("balanced loads do not reach the optimal cap")
     return LoadAssignment(loads=loads, max_load=lam)
 
@@ -416,19 +461,24 @@ def run_maximin_support(
 
     A candidate's balanced max load is max_S c(S)/|N(S)| over the subsets S
     of the chosen projects plus itself, so it only rises as the outcome
-    grows: loads wait in a heap and are rebalanced only when they reach the
-    top."""
+    grows: it waits in a heap and is recomputed only at the top, from the
+    sets S behind its last value and the last selection's."""
     # As in the sequential rule, over-budget projects stay in the pool so a
     # winning argmin among them produces a blocking record rather than being
     # silently ignored.
-    pool = [p for p in inst.projects if inst.approvers(p)]
+    size = inst.approver_counts()
+    pool = [p for p in inst.projects if size[p]]
     trace = RuleTrace(rule="maximin")
     chosen: list[str] = []
-    balanced: dict[str, LoadAssignment] = {}  # each candidate's latest loads
+    # each candidate's last value, and a set S of that c(S)/|N(S)|
+    known = {p: (inst.costs[p] / size[p], frozenset([p])) for p in pool}
 
     def max_load(p: str) -> Fraction:
-        balanced[p] = balance_loads(inst, chosen + [p])
-        return balanced[p].max_load
+        if chosen:
+            q = chosen[-1]
+            known[p] = _max_ratio(inst, sorted(chosen + [p]), known[p],
+                                  (known[p][1] | {q}, known[q][1] | {p}))
+        return known[p][0]
 
     stale: set[str] = set()
     for p, _ in _select(inst, pool, max_load, stale, tie, trace):
@@ -438,7 +488,8 @@ def run_maximin_support(
     # Payments come from the balanced loads at termination, restricted to
     # the chosen projects (the blocked candidate itself is not paid for).
     if chosen:
-        loads = balanced[trace.blocking[0] if trace.blocking else chosen[-1]].loads
+        last, value = trace.blocking or trace.selections[-1][1:]
+        loads = balance_loads(inst, outcome | {last}, max_load=value).loads
         trace.payment_classes = {p: [([i], a) for i, a in loads[p].items()] for p in chosen}
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace

@@ -629,6 +629,26 @@ def test_compare_outputs_finds_no_difference_with_itself(tmp_path):
     assert proc.stdout.endswith(": 0 differ\n")
 
 
+def test_ab_rules_times_every_rule_against_itself():
+    # one round instead of the script's 15, against this checkout itself
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ab_rules; ab_rules.ROUNDS = 1; sys.exit(ab_rules.main([sys.argv[1]]))",
+         str(scripts.parent)],
+        cwd=scripts,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split()[:2] for line in proc.stdout.splitlines()]
+    assert rows == [[workload, rule] for workload, rules in
+                    [("uniform", ("mes-card", "mes-cost", "phragmen")),
+                     ("clustered", ("mes-card", "mes-cost", "phragmen")),
+                     ("price", ("maximin",))]
+                    for rule in ("parse",) + rules + ("all",)]
+
+
 def test_baseline_rows_writes_bench_json(tmp_path):
     root = Path(__file__).resolve().parents[1]
     src = str(Path(pbprop.__file__).resolve().parents[1])

@@ -22,7 +22,8 @@ from oracles import (
     max_load_oracle,
 )
 from pbprop import rules
-from pbprop.errors import CapabilityError, GuardExceededError
+from pbprop.errors import CapabilityError, GuardExceededError, InvariantError
+from pbprop.maxflow import FlowNetwork
 from pbprop.model import GenParams, Instance, InstanceError, generate_random
 from pbprop.pricing import extract_from_maximin_trace, extract_from_phragmen_trace
 from pbprop.repro import best_outcome_example, shared_big_project_example
@@ -550,25 +551,89 @@ def test_trace_payments_are_positive(cross_check_pool, rule):
 
 
 def test_maximin_rebalances_no_more_than_eager(cross_check_pool, monkeypatch):
-    calls = []
-    balance = rules.balance_loads
+    # Every score of a candidate set, the lazy rule's and each eager
+    # balance_loads call's, is one _max_ratio call. The lazy rule balances
+    # loads once, for the configuration that ends the run, at the value it
+    # already holds, so that call computes no score.
+    scores, balanced = [], []
+    score, balance = rules._max_ratio, rules.balance_loads
 
-    def counted(inst, w):
-        calls.append(1)
-        return balance(inst, w)
+    def counted_score(*args):
+        scores.append(args[1])
+        return score(*args)
 
-    monkeypatch.setattr(rules, "balance_loads", counted)
+    def counted_balance(*args, **kwargs):
+        balanced.append(args[1])
+        return balance(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "_max_ratio", counted_score)
+    monkeypatch.setattr(rules, "balance_loads", counted_balance)
     lazy_total = eager_total = 0
     for inst in cross_check_pool:
-        calls.clear()
-        run_maximin_support(inst)
-        lazy = len(calls)
-        calls.clear()
+        scores.clear()
+        balanced.clear()
+        w, _ = run_maximin_support(inst)
+        lazy = len(scores)
+        assert len(balanced) == (1 if w else 0)
+        scores.clear()
         eager_maximin(inst)
-        assert lazy <= len(calls)
+        assert lazy <= len(scores)
         lazy_total += lazy
-        eager_total += len(calls)
-    assert lazy_total < eager_total
+        eager_total += len(scores)
+    assert lazy_total < eager_total / 2
+
+
+def _ratio(inst, s):
+    return sum((inst.costs[p] for p in s), Fraction(0)) / len(
+        frozenset().union(*(inst.approvers(p) for p in s)))
+
+
+def test_max_ratio_matches_subset_oracle_and_balanced_loads(cross_check_pool):
+    """The score over ballot types equals the subset oracle and the
+    per-voter balanced max load, with or without starting guesses, on
+    tie-heavy instances and on instances with many repeated ballots."""
+    pool = cross_check_pool + [clustered_instance(seed) for seed in range(8)]
+    checked = raised = 0
+    for k, inst in enumerate(pool):
+        rng = random.Random(k)
+        approved = [p for p in inst.projects if inst.approvers(p)]
+        for size in sorted({1, 2, len(approved) // 2, len(approved)} - {0}):
+            w = sorted(rng.sample(approved, min(size, len(approved))))
+            value, dense = rules._max_ratio(inst, w)
+            assert value == max_load_oracle(inst, w) == balance_loads(inst, w).max_load
+            assert dense and dense <= set(w) and _ratio(inst, dense) == value
+            start = frozenset(rng.sample(w, rng.randint(1, len(w))))
+            guesses = [frozenset(rng.sample(w, rng.randint(1, len(w)))) for _ in range(2)]
+            again, dense = rules._max_ratio(inst, w, (_ratio(inst, start), start), guesses)
+            assert again == value and _ratio(inst, dense) == value
+            checked += 1
+        unapproved = [p for p in inst.projects if not inst.approvers(p)]
+        if unapproved and approved:
+            w = sorted([approved[0], unapproved[0]])
+            with pytest.raises(InstanceError, match=f"project {unapproved[0]!r} in the outcome "
+                                                    "has no approvers"):
+                rules._max_ratio(inst, w)
+            raised += 1
+    assert checked > 500 and raised > 5
+
+
+def test_max_ratio_refuses_a_cut_that_does_not_raise_the_cap(monkeypatch):
+    # N({a}) = {1} has ratio 2 above c(w)/|N(w)| = 1, so the greedy fill
+    # fails at cap 1; a flow that carries nothing cuts off all of w, whose
+    # ratio is the cap itself
+    inst = Instance.create({"a": 2, "b": 1}, [{"a"}, {"b"}, {"b"}], 3)
+    assert rules._max_ratio(inst, ["a", "b"]) == (2, frozenset({"a"}))
+
+    def no_flow(net, s, t):
+        net.labels = [-1] * net.n
+        net.labels[s] = -2
+        return 0
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", no_flow)
+    with pytest.raises(InvariantError, match="the min cut did not raise the load cap"):
+        rules._max_ratio(inst, ["a", "b"])
+    with pytest.raises(InvariantError, match="balanced loads do not carry the costs"):
+        balance_loads(inst, ["a", "b"], max_load=Fraction(2))
 
 
 # Each consistency check of the rules and the LP, broken on purpose; the
