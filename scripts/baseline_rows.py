@@ -12,7 +12,11 @@ Rows, all on seed 1:
   mes-*, phragmen-*, maximin-*: MES[card], sequential Phragmen and maximin
       support on GenParams(n, m, density=0.2, budget in [3m/4, m]);
   price-*: find_price_system with C6 and B above the budget, on the
-      MES[card] outcome of GenParams(n, m) with its default density 0.5.
+      MES[card] outcome of GenParams(n, m) with its default density 0.5;
+  pjr-clustered-*: check_pjr with card, guards raised to 64 projects and
+      10**6 voters, on the MES[card] outcome of the benchmark's clustered
+      election generator (perfbench/elections.py, imported read-only) drawn
+      with random.Random("baseline:1").
 
 Example:
     python scripts/baseline_rows.py after maximin-100x20 price-8x12
@@ -21,6 +25,7 @@ import argparse
 import hashlib
 import json
 import platform
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -41,6 +46,7 @@ ROWS = {
     "maximin-1000x40": ("maximin", 1000, 40),
     "price-8x12": ("price", 8, 12),
     "price-16x16": ("price", 16, 16),
+    "pjr-clustered-1200x40": ("pjr", 1200, 40),
 }
 
 
@@ -64,7 +70,8 @@ def run_row(name: str) -> None:
     of the timed call on stderr. It imports pbprop from this checkout's
     ``src/``, whatever PYTHONPATH says."""
     sys.path.insert(0, str(SRC))
-    from pbprop.model import GenParams, generate_random
+    from pbprop.axioms import check_pjr
+    from pbprop.model import GenParams, Instance, generate_random
     from pbprop.pricing import find_price_system
     from pbprop.rules import run_maximin_support, run_mes, run_seq_phragmen
     from pbprop.satisfaction import cardinality_sat
@@ -77,6 +84,20 @@ def run_row(name: str) -> None:
         ps = find_price_system(inst, outcome, require_c6=True)
         wall = perf_counter() - start
         result = {"outcome": sorted(outcome), "system": ps and json.loads(ps.to_json())}
+    elif kind == "pjr":
+        sys.path.insert(0, str(SRC.parent / "perfbench"))
+        import elections
+
+        election = elections.clustered(random.Random("baseline:1"), n, m)
+        inst = Instance.create(election.costs, election.ballots, election.budget)
+        mu = cardinality_sat(inst)
+        outcome, _ = run_mes(inst, mu)
+        start = perf_counter()
+        v = check_pjr(inst, mu, outcome, max_m=64, max_n=10**6)
+        wall = perf_counter() - start
+        result = {"outcome": sorted(outcome), "violation": v and {
+            "t": sorted(v.witness.t), "group": sorted(v.witness.group),
+            "lhs": str(v.lhs), "rhs": str(v.rhs)}}
     else:
         params = GenParams(n, m, density=0.2, budget_min=Fraction(3 * m, 4),
                            budget_max=Fraction(m))

@@ -11,6 +11,10 @@ lists those T once per instance by a depth-first search over the sorted
 ids that narrows the ballot types holding T, pruning at the first
 unaffordable set (supersets cost more and lose approvers). The list is
 memoised on the instance, shared by the eight checkers and by GCR.
+
+Both family loops skip each demand T inside the outcome W before any μ
+call: every member's share of W then contains T, so for a monotone μ no
+axiom here can fail on T (the README's Guards section says why).
 """
 from __future__ import annotations
 
@@ -137,16 +141,15 @@ def _ejr_family(
     unmet: Callable[[frozenset[str], frozenset[str], frozenset[str], Fraction], tuple | None],
     max_m: int,
     max_n: int,
-    skip_covered: bool = False,
 ) -> Violation | None:
     """`unmet(ballot, W, T, mu(T))` is None when the ballot's holders are
-    satisfied, else (lhs, detail). Demands with T inside W can be skipped."""
+    satisfied, else (lhs, detail); it only sees T outside W."""
     w = inst.check_outcome(outcome)
     _guard(inst, max_m, max_n)
     for d in demand_sets(inst):
-        target = mu.value(d.t)
-        if skip_covered and d.t <= w:
+        if d.t <= w:
             continue
+        target = mu.value(d.t)
         failed = [(h, f) for b, h in d.types if (f := unmet(b, w, d.t, target)) is not None]
         if sum(len(h) for h, _ in failed) >= d.min_size:
             holders, (lhs, detail) = failed[0]  # holds the lowest unsatisfied voter
@@ -188,13 +191,11 @@ def check_ejr1(
         # the best rescue is independent of T and cached per ballot type.
         if ballot not in best_with_rescue:
             share = ballot & w
-            best_with_rescue[ballot] = max(
-                (mu.value(share | {p}) for p in ballot - w), default=mu.value(share)
-            )
+            best_with_rescue[ballot] = max(mu.value(share | {p}) for p in ballot - w)
         best = best_with_rescue[ballot]
         return None if best > target else (best, {})
 
-    return _ejr_family(inst, mu, outcome, "ejr1", unmet, max_m, max_n, skip_covered=True)
+    return _ejr_family(inst, mu, outcome, "ejr1", unmet, max_m, max_n)
 
 
 def check_ejr1_plus(
@@ -210,9 +211,7 @@ def check_ejr1_plus(
         best = max(mu.value(share | {p}) for p in t - w)
         return None if best > target else (best, {})
 
-    return _ejr_family(
-        inst, mu, outcome, "ejr1plus", unmet, max_m, max_n, skip_covered=True
-    )
+    return _ejr_family(inst, mu, outcome, "ejr1plus", unmet, max_m, max_n)
 
 
 def check_ejrx(
@@ -229,7 +228,7 @@ def check_ejrx(
         worst, p = min((mu.value(share | {p}), p) for p in t - w)
         return None if worst > target else (worst, {"project": p})
 
-    return _ejr_family(inst, mu, outcome, "ejrx", unmet, max_m, max_n, skip_covered=True)
+    return _ejr_family(inst, mu, outcome, "ejrx", unmet, max_m, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +266,13 @@ def _pjr_family(
     unmet: Callable[[Demand, frozenset[str], frozenset[str], frozenset[str]], tuple | None],
     max_m: int,
     max_n: int,
-    skip_covered: bool = False,
 ) -> Violation | None:
-    """`unmet(demand, W, intersection, share)` is None when the representative
-    group passes, else (lhs, rhs, detail); share is W within its union."""
+    """`unmet(demand, W, intersection, share)`, for T outside W, is None when
+    the representative group passes, else (lhs, rhs, detail); share is W ∩ union."""
     w = inst.check_outcome(outcome)
     _guard(inst, max_m, max_n)
     for d in demand_sets(inst):
-        if skip_covered and d.t <= w:
+        if d.t <= w:
             continue
         for group, inter, union in d.signatures:
             failed = unmet(d, w, inter, w & union)
@@ -321,7 +319,7 @@ def check_pjrx(
                 return got, target, {"project": p}
         return None
 
-    return _pjr_family(inst, outcome, "pjrx", unmet, max_m, max_n, skip_covered=True)
+    return _pjr_family(inst, outcome, "pjrx", unmet, max_m, max_n)
 
 
 def check_pjr1(
@@ -336,13 +334,10 @@ def check_pjr1(
     so every achievable intersection/union signature is examined."""
     def unmet(d, w, inter, share):
         target = mu.value(d.t)
-        options = sorted(inter - w)
-        if any(mu.value(share | {p}) > target for p in options):
-            return None
-        best = max((mu.value(share | {p}) for p in options), default=mu.value(share))
-        return best, target, {}
+        best = max(mu.value(share | {p}) for p in inter - w)
+        return None if best > target else (best, target, {})
 
-    return _pjr_family(inst, outcome, "pjr1", unmet, max_m, max_n, skip_covered=True)
+    return _pjr_family(inst, outcome, "pjr1", unmet, max_m, max_n)
 
 
 def check_local_bpjr(

@@ -47,6 +47,10 @@ class SatisfactionFunction:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        if self.per_project and any(v < 0 for v in self.per_project.values()):
+            raise ValueError(f"{self.kind} values must not be negative (μ must be monotone)")
+
     @property
     def additive(self) -> bool:
         return self.per_project is not None

@@ -75,6 +75,27 @@ def naive_pjrx_passes(inst, mu, w):
     return True
 
 
+def naive_local_bpjr_passes(inst, mu, w):
+    """Quantifier-literal Local-BPJR: no cohesive (T, group) has a best set,
+    among the S inside its common ballot with c(S) <= c(T), that strictly
+    extends the group's share of the outcome."""
+    w = frozenset(w)
+    for t in all_demand_sets(inst):
+        for group in all_groups(inst):
+            if not is_cohesive(inst, t, group):
+                continue
+            ballots = [inst.approval(i) for i in group]
+            inter = frozenset.intersection(*ballots)
+            share = w & frozenset.union(*ballots)
+            affordable = [frozenset(s) for r in range(len(inter) + 1)
+                          for s in itertools.combinations(sorted(inter), r)
+                          if inst.total_cost(s) <= inst.total_cost(t)]
+            best = max(mu.value(s) for s in affordable)
+            if any(share < s for s in affordable if mu.value(s) == best):
+                return False
+    return True
+
+
 def max_load_oracle(inst, w):
     """Optimal min-max load equals the worst cost-to-supporters ratio over
     subsets of the outcome."""

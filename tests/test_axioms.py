@@ -11,6 +11,7 @@ from conftest import make_instance, random_outcome
 from oracles import (
     all_demand_sets,
     naive_ejr_passes,
+    naive_local_bpjr_passes,
     naive_pjr_passes,
     naive_pjrx_passes,
 )
@@ -169,6 +170,9 @@ def test_checkers_agree_with_naive_oracles(tiny_instances):
                 inst, mu, w
             )
             assert (check_pjrx(inst, mu, w) is None) == naive_pjrx_passes(
+                inst, mu, w
+            )
+            assert (check_local_bpjr(inst, mu, w) is None) == naive_local_bpjr_passes(
                 inst, mu, w
             )
 

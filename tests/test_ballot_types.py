@@ -10,7 +10,7 @@ from conftest import pabulib_text
 from oracles import (
     eager_maximin, eager_mes, eager_phragmen, per_voter_system, reference_verify_price_system,
 )
-from pbprop.axioms import check_ejr, check_pjr1
+from pbprop.axioms import check_ejr, check_local_bpjr, check_pjr, check_pjr1, demand_sets
 from pbprop.cli import main
 from pbprop.errors import GuardExceededError
 from pbprop.model import Instance, InstanceError, emit_json, parse_pabulib
@@ -218,6 +218,20 @@ def test_unknown_project_names_the_lowest_offending_voter(pool):
         lowest = min(i for i, b in enumerate(ballots, start=1) if "zz" in b)
         with pytest.raises(InstanceError, match=f"^voter {lowest} approves unknown"):
             Instance.create(dict(inst.costs), ballots, inst.budget)
+
+
+def test_pjr_audits_leave_covered_demands_unenumerated():
+    """A demand T inside W cannot fail PJR or Local-BPJR, so neither checker
+    builds the group signatures of such a demand."""
+    for seed in range(6):
+        inst = clustered_instance(seed)
+        mu = cardinality_sat(inst)
+        w, _ = run_mes(inst, mu)
+        covered = [d for d in demand_sets(inst) if d.t <= w]
+        assert covered
+        for check in (check_pjr, check_local_bpjr):
+            check(inst, mu, w, max_m=64, max_n=10**6)
+        assert not any("signatures" in d.__dict__ for d in covered)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,8 @@ def test_capabilities_are_read_off_the_values():
     assert not cc_sat().additive and not cc_sat().strictly_increasing
     flat = SatisfactionFunction("x", {"a": Fraction(0)})
     assert flat.additive and not flat.strictly_increasing
+    with pytest.raises(ValueError, match="negative"):
+        SatisfactionFunction("x", {"a": Fraction(1), "b": Fraction(-1)})
     inst = Instance.create({"a": 1}, [{"a"}], 1)
     assert audit_all(inst, flat, set()).strictly_increasing is False
     for name in ("additive", "strictly_increasing"):
