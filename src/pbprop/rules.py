@@ -8,7 +8,6 @@ All arithmetic is exact.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -67,48 +66,27 @@ class RuleTrace:
                 for p, pairs in self.payment_classes.items()}
 
 
-def _unit_value(mu: SatisfactionFunction, p: str) -> Fraction:
-    if not mu.additive:
-        raise CapabilityError(f"{mu.kind} is not additive; rule requires per-project values")
-    value = mu.per_project.get(p)
-    if value is None or value <= 0:
-        raise CapabilityError(f"no positive satisfaction value for project {p!r}")
-    return value
-
-
-def _ladder_rho(
-    ladder: list[tuple[int, int]], den: int, cost: Fraction, unit: Fraction
+def min_rho(
+    per: Mapping[int, int], den: int, cost: Fraction, unit: Fraction
 ) -> Fraction | None:
-    """Walk the supporters' budget levels, (budget, voter count) pairs in
-    increasing budget order with each budget an integer numerator over
-    ``den``. Voters below the current level pay their whole budget and the
-    rest split what is left equally; the first level that covers its equal
-    share gives rho. If no level does, the supporters hold less money than
-    the cost. Money is counted in units of 1/(den * cost.denominator), so
-    the walk compares ints and only rho is built as a Fraction."""
+    """rho, the least price per unit of satisfaction at which supporters
+    with ``unit`` satisfaction each afford ``cost``: their capped payments
+    min(b_i, rho * unit) sum to the cost. ``per`` maps each budget, an int
+    over ``den``, to its number of supporters (``_VoterClasses.histogram``).
+    Going up the budgets, voters below the level pay all they hold and the
+    rest split what is left; the first level covering its share gives rho,
+    and None means the supporters hold less than the cost. Money is counted
+    in units of 1/(den * cost.denominator), so only rho is a Fraction."""
     cost_den = cost.denominator
     rest = cost.numerator * den
-    left = sum(count for _, count in ladder)
-    for budget, count in ladder:
+    left = sum(per.values())
+    for budget, count in sorted(per.items()):
         budget *= cost_den
         if rest <= budget * left:
             return Fraction(rest * unit.denominator, left * den * cost_den * unit.numerator)
         rest -= budget * count
         left -= count
     return None
-
-
-def min_rho(
-    inst: Instance, budgets: Mapping[int, Fraction], mu: SatisfactionFunction, p: str
-) -> Fraction | None:
-    """Minimal rho at which p is affordable from the given voter budgets,
-    i.e. the supporters' capped payments min(b_i, rho*mu(p)) sum to c(p).
-    Returns None when the supporters cannot afford p at any rho."""
-    unit = _unit_value(mu, p)
-    held = [budgets[i] for i in inst.approvers(p)]
-    den = lcm(*(b.denominator for b in held))
-    ladder = sorted(Counter(b.numerator * (den // b.denominator) for b in held).items())
-    return _ladder_rho(ladder, den, inst.costs[p], unit)
 
 
 class _VoterClasses:
@@ -257,11 +235,13 @@ def run_mes(
         raise CapabilityError("MES requires an additive satisfaction function")
     classes = _VoterClasses(inst, inst.budget / inst.n)
     candidates = [p for p in inst.projects if classes.holding[p]]
-    units = {p: _unit_value(mu, p) for p in candidates}
+    units = {p: mu.per_project.get(p) for p in candidates}
+    for p, unit in units.items():
+        if not unit:
+            raise CapabilityError(f"no positive satisfaction value for project {p!r}")
 
     def rho(p: str) -> Fraction | None:
-        ladder = sorted(classes.histogram(p).items())
-        return _ladder_rho(ladder, classes.den, inst.costs[p], units[p])
+        return min_rho(classes.histogram(p), classes.den, inst.costs[p], units[p])
 
     trace = RuleTrace(rule="mes")
     for p, best in _select(inst, candidates, rho, classes.stale, tie, trace):
@@ -432,7 +412,12 @@ def balance_loads(
 ) -> LoadAssignment:
     """Spread each chosen project's cost over its approvers so that the
     maximum per-voter total load is minimized; exact optimum. The loads are
-    the flows over the voters at the optimal cap, ``max_load`` if given."""
+    the flows over the voters at the optimal cap, ``max_load`` if given.
+    Voter arcs are added as ``inst.approvers(p)`` iterates, a set order that
+    is not always ascending (10 can precede 9). Which optimal flow is found,
+    and so the pinned maximin stdout, depends on it: keep it unsorted. The
+    guards are ``test_balance_loads_matches_fraction_flow_oracle`` and
+    ``ab_rules.same_instance``."""
     w = sorted(set(w))
     if not w:
         return LoadAssignment(loads={}, max_load=Fraction(0))

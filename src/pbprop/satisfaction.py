@@ -266,9 +266,7 @@ def _counterexample_value_drop(
 ) -> tuple[Instance, SatisfactionFunction]:
     # Pricier projects give less value. A mass of voters cohesive over cheap
     # projects watches MES[cardinality] spend everything on pricey ones.
-    beta = 1 // (1 - vs) + 1
-    while vs + Fraction(1, beta) >= 1:
-        beta += 1
+    beta = 1 // (1 - vs) + 1  # beta > 1/(1-vs), so vs + 1/beta < 1
     eps = Fraction(1, 2 * beta)
     ratio = xs - 1 + eps / 2  # strictly inside (x'-1, x'-1+eps)
     p_cnt, q_cnt = ratio.numerator, ratio.denominator
@@ -294,9 +292,7 @@ def _counterexample_ratio_jump(
 ) -> tuple[Instance, SatisfactionFunction]:
     # Pricier projects give more value per cost. A single voter is cohesive
     # over pricey projects while MES[cardinality] buys cheap ones.
-    beta = vs // (vs - xs) + 1
-    while xs / vs >= Fraction(beta - 1, beta):
-        beta += 1
+    beta = vs // (vs - xs) + 1  # beta*(vs-xs) > vs, so xs/vs < (beta-1)/beta
     budget = beta * xs
     n_cheap = int(budget)  # floor
     cheap = [f"a{j}" for j in range(1, n_cheap + 1)]

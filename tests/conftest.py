@@ -71,6 +71,12 @@ MALFORMED_JSON = {
     "repeated-key": ('{"n": 1, "budget": "2", "budget": "9", "projects":'
                      ' [{"id": "a", "cost": "1"}], "approvals": [["a"]]}',
                      "invalid JSON: key 'budget' repeated in one object"),
+    "projects-not-list": ('{"n": 1, "budget": "2", "projects": 5, "approvals": [["a"]]}',
+                          "'projects' and 'approvals' must be lists"),
+    "project-without-cost": ('{"n": 1, "budget": "2", "projects": [{"id": "a"}],'
+                             ' "approvals": [["a"]]}', "malformed project entry"),
+    "too-few-ballots": ('{"n": 2, "budget": "2", "projects": [{"id": "a", "cost": "1"}],'
+                        ' "approvals": [["a"]]}', "need one approval set per voter"),
     "huge-int": ('{"n": ' + "9" * 5000 + "}", "invalid JSON"),
     "deep-nesting": ("[" * 100_000, "invalid JSON"),
 }

@@ -235,6 +235,20 @@ def test_price_verify_failure_exit_code(capsys, inst_file, tmp_path):
     assert json.loads(out)["conditions"]["C4"]["pass"] is False
 
 
+def test_price_verify_strict_b_fails_at_the_real_budget(capsys, inst_file, tmp_path):
+    # every condition holds, but B equals the budget b = 3
+    system = tmp_path / "ps.json"
+    system.write_text('{"B": "3", "payments": {"1": {"p2": "1"}, "2": {"p3": "1"}}}')
+    code, out, _ = run_cli(capsys, "price", "verify", inst_file, "p2,p3", str(system))
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    code, out, _ = run_cli(capsys, "price", "verify", "--strict-b", inst_file, "p2,p3",
+                           str(system))
+    payload = json.loads(out)
+    assert code == 2
+    assert (payload["verdict"], payload["b_strict"]) == ("fail", False)
+    assert all(c["pass"] for c in payload["conditions"].values())
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_PRICE_SYSTEMS))
 def test_price_verify_malformed_system_is_parse_error(capsys, inst_file, tmp_path, case):
     system = tmp_path / "ps.json"

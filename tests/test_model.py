@@ -71,6 +71,13 @@ def test_exhaustive():
         inst.is_exhaustive({"a", "b", "c"})  # infeasible
 
 
+def test_check_outcome_names_unknown_ids():
+    inst = Instance.create({"a": 1}, [{"a"}], 1)
+    with pytest.raises(InstanceError) as err:
+        inst.check_outcome({"zz"})
+    assert str(err.value) == "unknown project ids ['zz']"
+
+
 PB_TEXT = """\
 META
 key;value
@@ -108,6 +115,8 @@ def test_parse_pabulib_roundtrip_values():
         (lambda s: s.replace("1;p1,p2", "1;p9"), "unknown projects"),
         (lambda s: s.replace("budget;7/2\n", ""), "missing META key budget"),
         (lambda s: "junk\n" + s, "before first section"),
+        (lambda s: s.replace("num_votes;2", "num_votes;0").replace("1;p1,p2\n2;p2\n", ""),
+         "need at least one voter"),
     ],
 )
 def test_parse_pabulib_errors(mangle, fragment):

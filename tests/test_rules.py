@@ -35,7 +35,14 @@ from pbprop.rules import (
     run_mes,
     run_seq_phragmen,
 )
-from pbprop.satisfaction import BUILTINS, cardinality_sat, cc_sat, cost_sat, table_sat
+from pbprop.satisfaction import (
+    BUILTINS,
+    SatisfactionFunction,
+    cardinality_sat,
+    cc_sat,
+    cost_sat,
+    table_sat,
+)
 from test_ballot_types import clustered_instance
 
 
@@ -43,26 +50,35 @@ from test_ballot_types import clustered_instance
 # min_rho
 
 
+def budget_rho(inst, budgets, mu, p):
+    """min_rho on the histogram of p's supporters' budgets, each scaled to
+    their least common denominator."""
+    held = [budgets[i] for i in inst.approvers(p)]
+    den = lcm(*(b.denominator for b in held))
+    per = Counter(b.numerator * (den // b.denominator) for b in held)
+    return min_rho(per, den, inst.costs[p], mu.per_project[p])
+
+
 def test_min_rho_shared_project(shared_big_project):
     inst = shared_big_project
     budgets = {1: Fraction(3, 2), 2: Fraction(3, 2)}
-    assert min_rho(inst, budgets, cost_sat(inst), "p1") == Fraction(1, 2)
+    assert budget_rho(inst, budgets, cost_sat(inst), "p1") == Fraction(1, 2)
 
 
 def test_min_rho_single_supporter_exact_budget():
     inst = Instance.create({"a": 2}, [{"a"}], 2)
-    assert min_rho(inst, {1: Fraction(2)}, cost_sat(inst), "a") == 1
+    assert budget_rho(inst, {1: Fraction(2)}, cost_sat(inst), "a") == 1
 
 
 def test_min_rho_unaffordable():
     inst = Instance.create({"a": 5, "b": 1}, [{"a", "b"}], 6)
-    assert min_rho(inst, {1: Fraction(3)}, cost_sat(inst), "a") is None
+    assert budget_rho(inst, {1: Fraction(3)}, cost_sat(inst), "a") is None
 
 
 def test_min_rho_uneven_budgets():
     inst = Instance.create({"a": 4}, [{"a"}, {"a"}, {"a"}], 6)
     budgets = {1: Fraction(1, 2), 2: Fraction(2), 3: Fraction(3)}
-    rho = min_rho(inst, budgets, cost_sat(inst), "a")
+    rho = budget_rho(inst, budgets, cost_sat(inst), "a")
     # voter 1 pays 1/2 in full, the others pay 4*rho each
     assert rho == Fraction(7, 16)
     assert sum(min(b, rho * 4) for b in budgets.values()) == 4
@@ -71,17 +87,23 @@ def test_min_rho_uneven_budgets():
 def test_min_rho_is_minimal_solution():
     inst = Instance.create({"a": 3}, [{"a"}, {"a"}], 10)
     budgets = {1: Fraction(1), 2: Fraction(4)}
-    rho = min_rho(inst, budgets, cost_sat(inst), "a")
+    rho = budget_rho(inst, budgets, cost_sat(inst), "a")
     assert sum(min(b, rho * 3) for b in budgets.values()) == 3
     smaller = rho - Fraction(1, 1000)
     assert sum(min(b, smaller * 3) for b in budgets.values()) < 3
 
 
 def test_min_rho_capability_errors(shared_big_project):
+    # MES reads every candidate's value before its first rho walk and names
+    # the first candidate, in project order, whose value is missing or 0
     inst = shared_big_project
-    budgets = {1: Fraction(1), 2: Fraction(1)}
-    with pytest.raises(CapabilityError):
-        min_rho(inst, budgets, cc_sat(), "p1")
+    for values, bad in (({"p1": 3, "p3": 1}, "p2"),
+                        ({"p1": 0, "p2": 1, "p3": 1}, "p1"),
+                        ({"p1": 3, "p3": 0}, "p2")):
+        mu = SatisfactionFunction("table", {p: Fraction(v) for p, v in values.items()})
+        with pytest.raises(CapabilityError,
+                           match=f"no positive satisfaction value for project '{bad}'"):
+            run_mes(inst, mu)
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,7 +120,36 @@ def test_min_rho_matches_voter_by_voter_walk(cost, unit, budgets):
     inst = Instance.create({"a": cost}, [{"a"}] * len(budgets), 1)
     by_voter = dict(zip(inst.voters, budgets))
     mu = table_sat({"a": unit})
-    assert min_rho(inst, by_voter, mu, "a") == eager_min_rho(inst, by_voter, mu, "a")
+    assert budget_rho(inst, by_voter, mu, "a") == eager_min_rho(inst, by_voter, mu, "a")
+
+
+def test_run_mes_evaluates_rho_through_min_rho(cross_check_pool, monkeypatch):
+    # profilers patch rules.min_rho by name, so run_mes must look it up there
+    # at every evaluation: the first call of a run patches in a second walk,
+    # which a run holding the first under a name of its own never reaches
+    cases = [(inst, BUILTINS[sat](inst))
+             for inst in cross_check_pool[:12] + cross_check_pool[90:96]
+             for sat in ("cost", "card")]
+    runs = [run_mes(inst, mu) for inst, mu in cases]
+    calls = []
+
+    def later(*args):
+        calls.append("later")
+        return min_rho(*args)
+
+    def first(*args):
+        calls.append("first")
+        monkeypatch.setattr(rules, "min_rho", later)
+        return min_rho(*args)
+
+    patched = []
+    for inst, mu in cases:
+        monkeypatch.setattr(rules, "min_rho", first)
+        patched.append(run_mes(inst, mu))
+    assert patched == runs
+    assert calls.count("first") == len(cases)
+    assert "later" in calls
+    assert len(calls) >= sum(len(trace.selections) for _, trace in runs)
 
 
 # ---------------------------------------------------------------------------
