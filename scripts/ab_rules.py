@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time parsing, MES[card], MES[cost], Phragmen and maximin support here
-against another checkout.
+"""Time parsing, MES[card], MES[cost], Phragmen, maximin support and the
+writing of their traces here against another checkout.
 
 Both checkouts' ``src/pbprop`` are imported in one process under their own
 package names, ``pbprop_this`` and ``pbprop_other``, so the two codes share
@@ -15,16 +15,20 @@ in both codes, back to back, in an order that alternates from one instance
 and one round to the next. Each pair of runs must give the same outcome and
 equal traces, compared as ``baseline_rows.canonical`` reads them: payments
 expanded per voter and sorted by voter, every other field as it is. Each
-round also parses every text in both codes, alternating alike, and the two
-parses of a text must give equal instance fields, the same
+code then makes its trace into the stdout payload with its own
+``cli._trace_json`` and writes it with its own ``model.dumps``, alternating
+alike; the two texts must be equal, and the ``write`` row times the writes.
+Each round also parses every text in both codes, alternating alike, and the
+two parses of a text must give equal instance fields, the same
 ``ballot_types()`` order and the same ``approvers(p)`` order for every
 project. Prints, per workload, the median seconds of a round in each code
 and the rounds in which this checkout was faster, for the parse, for each
-rule and for ``all``. The per-rule rows time the rule alone on instances
-parsed before the timed loop, so they leave instance construction out: work
-that moves between building an ``Instance`` and running a rule shows there
-as a change in the rule. The ``all`` row sums the parse and the rules of
-each round, and is the one to read for such a move.
+rule, for ``write`` and for ``all``. The per-rule rows time the rule alone
+on instances parsed before the timed loop, so they leave instance
+construction out: work that moves between building an ``Instance`` and
+running a rule shows there as a change in the rule. The ``all`` row sums
+the parse, the rules and the writes of each round, and is the one to read
+for such a move.
 
 Example:
     python scripts/ab_rules.py ../pbprop-parent
@@ -93,6 +97,13 @@ def same_instance(a, b) -> bool:
             and all(list(a.approvers(p)) == list(b.approvers(p)) for p in a.projects))
 
 
+def writer(pkg):
+    """The code's stdout payload of a trace, and its JSON writer."""
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    model = importlib.import_module(f"{pkg.__name__}.model")
+    return cli._trace_json, model.dumps
+
+
 def calls(pkg, fmt: str, text: str) -> dict:
     """The rule runs of one instance in one code, as thunks."""
     rules = importlib.import_module(f"{pkg.__name__}.rules")
@@ -110,10 +121,12 @@ def main(argv=None) -> int:
     parser.add_argument("other", type=Path, help="root of the other pbprop checkout")
     other = parser.parse_args(argv).other.resolve()
     codes = (load("pbprop_this", ROOT), load("pbprop_other", other))
+    writers = [writer(pkg) for pkg in codes]
     for workload, instances in texts().items():
         rules = RULES[workload]
         runs = [[calls(pkg, fmt, text) for pkg in codes] for fmt, text in instances]
-        seconds = {rule: [[0.0, 0.0] for _ in range(ROUNDS)] for rule in ("parse",) + rules}
+        rows = ("parse",) + rules + ("write",)
+        seconds = {row: [[0.0, 0.0] for _ in range(ROUNDS)] for row in rows}
         for r in range(ROUNDS):
             for k, pair in enumerate(runs):
                 order = (0, 1) if (r + k) % 2 == 0 else (1, 0)
@@ -135,9 +148,17 @@ def main(argv=None) -> int:
                     (w_this, t_this), (w_other, t_other) = results
                     if w_this != w_other or canonical(t_this) != canonical(t_other):
                         raise SystemExit(f"{workload} instance {k} {rule}: traces differ")
-        for rule in ("parse",) + rules + ("all",):
+                    payloads = [writers[side][0](results[side][1]) for side in (0, 1)]
+                    written = [None, None]
+                    for side in order:
+                        start = perf_counter()
+                        written[side] = writers[side][1](payloads[side])
+                        seconds["write"][r][side] += perf_counter() - start
+                    if written[0] != written[1]:
+                        raise SystemExit(f"{workload} instance {k} {rule}: written traces differ")
+        for rule in rows + ("all",):
             rounds = (seconds[rule] if rule != "all" else
-                      [[sum(seconds[q][r][s] for q in ("parse",) + rules) for s in (0, 1)]
+                      [[sum(seconds[q][r][s] for q in rows) for s in (0, 1)]
                        for r in range(ROUNDS)])
             this, that = (statistics.median(t[s] for t in rounds) for s in (0, 1))
             wins = sum(t[0] < t[1] for t in rounds)

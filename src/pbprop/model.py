@@ -128,6 +128,12 @@ def _dumps(obj, nl: str) -> str:
     raise TypeError(f"cannot write {type(obj).__name__} as a JSON payload value")
 
 
+# Per indent, the key texts '<indent>"i": ' of voters 0, 1, 2, ..., kept for
+# the life of the process up to the largest voter id written below the cap.
+_VOTER_KEYS: dict[str, list[str]] = {}
+_VOTER_KEYS_MAX = 1 << 15  # a map holding a larger id formats its own keys
+
+
 def _voter_map(classes, nl: str) -> str:
     """One voter map's text, each class value written once."""
     inner = nl + "  "
@@ -141,9 +147,16 @@ def _voter_map(classes, nl: str) -> str:
                 text[i] = t
     if not text:
         return "{}"
-    return "{" + inner + ("," + inner).join([
-        f'"{i}": {text[i]}' for i in sorted(text)
-    ]) + nl + "}"
+    order = sorted(text)
+    if order[0] < 1:  # would index the key list from its end
+        raise TypeError(f"voter id {order[0]} is below 1")
+    keys = _VOTER_KEYS.get(inner, [])
+    top = order[-1]
+    if top >= _VOTER_KEYS_MAX:
+        keys = {i: f'{inner}"{i}": ' for i in order}
+    elif top >= len(keys):  # a stored list is never changed, so threads may share it
+        keys = _VOTER_KEYS[inner] = keys + [f'{inner}"{i}": ' for i in range(len(keys), top + 1)]
+    return "{" + ",".join([keys[i] + text[i] for i in order]) + nl + "}"
 
 
 @dataclass(frozen=True)

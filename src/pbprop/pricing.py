@@ -89,6 +89,8 @@ class PriceSystem:
                 i = int(key)
                 if str(i) != key:  # "02" or " 2" would name voter 2 twice
                     raise ValueError(f"voter key {key!r} is not a plain integer")
+                if i < 1:  # voters are numbered from 1
+                    raise ValueError(f"voter key {key!r} is below 1")
                 same = tuple(per.items())
                 if same not in rows:
                     rows[same] = ([], {p: parse_money(v) for p, v in per.items()})

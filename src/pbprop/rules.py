@@ -157,8 +157,24 @@ class _VoterClasses:
                 self.stale.update(self.ballots[t])
 
 
+class _Key:
+    """A heap entry: project ``p`` at ``value``. Keys order exactly as
+    (value, p) tuples do, but compare the value's numerator and denominator
+    as ints instead of calling ``Fraction`` comparisons."""
+
+    __slots__ = ("num", "den", "value", "p")
+
+    def __init__(self, value: Fraction, p: str):
+        self.num, self.den = value.as_integer_ratio()
+        self.value, self.p = value, p
+
+    def __lt__(self, other: _Key) -> bool:
+        a, b = self.num * other.den, other.num * self.den
+        return a < b or (a == b and self.p < other.p)
+
+
 def _pop_ties(
-    heap: list[tuple[Fraction, str]],
+    heap: list[_Key],
     stale: set[str],
     evaluate: Callable[[str], Fraction | None],
 ) -> tuple[Fraction | None, list[str]]:
@@ -169,17 +185,19 @@ def _pop_ties(
     dropped when ``evaluate`` gives None. Returns the least value and the
     projects at it, or (None, []) when the heap runs empty."""
     best, tied = None, []
-    while heap and (best is None or heap[0][0] == best):
-        key, p = heapq.heappop(heap)
+    # values are in lowest terms, so equal values have equal num and den
+    while heap and (best is None or heap[0].num == best.num and heap[0].den == best.den):
+        key = heapq.heappop(heap)
+        p = key.p
         if p in stale:
             stale.discard(p)
             value = evaluate(p)
             if value is not None:
-                heapq.heappush(heap, (value, p))
+                heapq.heappush(heap, _Key(value, p))
         else:
             best = key
             tied.append(p)
-    return best, tied
+    return (None if best is None else best.value), tied
 
 
 def _select(
@@ -198,7 +216,7 @@ def _select(
     to ``trace.skipped`` sorted by id. The pick among the rest is recorded
     and yielded with its value; the caller applies it and adds every project
     whose value changed to ``stale``."""
-    heap = [(value, p) for p in pool if (value := evaluate(p)) is not None]
+    heap = [_Key(value, p) for p in pool if (value := evaluate(p)) is not None]
     heapq.heapify(heap)
     left = inst.budget
     while True:
@@ -216,7 +234,7 @@ def _select(
         p = _pick(tied, tie)
         for q in tied:
             if q != p:
-                heapq.heappush(heap, (best, q))
+                heapq.heappush(heap, _Key(best, q))
         left -= inst.costs[p]
         trace.selections.append((len(trace.selections) + 1, p, best))
         yield p, best

@@ -94,6 +94,9 @@ MALFORMED_PRICE_SYSTEMS = {
     "voter-key-spaced": '{"B": "3", "payments": {" 1": {"p1": "1"}}}',
     "voter-key-underscore": '{"B": "3", "payments": {"1_0": {"p1": "1"}}}',
     "voter-key-repeated": '{"B": "3", "payments": {"1": {"p1": "1"}, "1": {"p1": "2"}}}',
+    # voters are numbered from 1
+    "voter-key-zero": '{"B": "3", "payments": {"0": {"p1": "1"}}}',
+    "voter-key-negative": '{"B": "3", "payments": {"-1": {"p1": "1"}}}',
 }
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -660,7 +660,7 @@ def test_ab_rules_times_every_rule_against_itself():
                     [("uniform", ("mes-card", "mes-cost", "phragmen")),
                      ("clustered", ("mes-card", "mes-cost", "phragmen")),
                      ("price", ("maximin",))]
-                    for rule in ("parse",) + rules + ("all",)]
+                    for rule in ("parse",) + rules + ("write", "all")]
 
 
 def test_baseline_rows_writes_bench_json(tmp_path):

@@ -14,6 +14,7 @@ from pbprop.model import (
     Instance,
     InstanceError,
     ParseError,
+    VoterMap,
     dumps,
     emit_json,
     generate_random,
@@ -304,12 +305,46 @@ def test_dumps_is_json_dumps_indent_2(value):
 
 @pytest.mark.parametrize(
     "value",
-    [(1, 2), Fraction(1, 2), 0.5, {1: "a"}, {"a": [("nested",)]}, [{"a": 1.0}], {None: 1}],
-    ids=["tuple", "fraction", "float", "int-key", "nested-tuple", "nested-float", "none-key"],
+    [(1, 2), Fraction(1, 2), 0.5, {1: "a"}, {"a": [("nested",)]}, [{"a": 1.0}], {None: 1},
+     VoterMap([([0, 1], "a")]), {"a": VoterMap([([2], "b"), ([-1], "c")])}],
+    ids=["tuple", "fraction", "float", "int-key", "nested-tuple", "nested-float", "none-key",
+         "voter-zero", "voter-negative"],
 )
 def test_dumps_rejects_what_payloads_do_not_hold(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+# sparse ids, and ids on both sides of the voter key cache's cap
+VOTER_IDS = st.sets(st.integers(1, 40) | st.integers(1, 5000) | st.integers(1, 1 << 16),
+                    max_size=30)
+CLASS_VALUES = JSON_TEXT | st.integers() | st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=2)
+
+
+@st.composite
+def voter_maps(draw):
+    """(voter map, the dict it stands for) over disjoint ascending holder
+    lists of one, many or no voters."""
+    ids = sorted(draw(VOTER_IDS))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+    values = draw(st.lists(CLASS_VALUES, min_size=5, max_size=5))
+    classes = [([i for i, c in zip(ids, labels) if c == k], values[k]) for k in range(4)]
+    classes.append(([], values[4]))
+    draw(st.randoms()).shuffle(classes)
+    return VoterMap(classes), {str(i): values[c] for i, c in zip(ids, labels)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(voter_maps(), voter_maps())
+def test_dumps_writes_voter_maps_as_json_dumps_writes_their_dicts(first, second):
+    (shallow, expanded), (deep, deep_expanded) = first, second
+    above = max(map(int, expanded), default=0)
+    # the second map of the payload holds ids above the first's largest
+    higher = VoterMap([([i + above for i in holders], v) for holders, v in deep.classes])
+    payload = {"x": shallow, "y": [{"z": deep}, higher]}
+    want = {"x": expanded, "y": [{"z": deep_expanded},
+                                 {str(int(i) + above): v for i, v in deep_expanded.items()}]}
+    assert dumps(payload) == json.dumps(want, indent=2)
 
 
 def test_money_str_memo_formats_each_object_once():

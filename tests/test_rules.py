@@ -1,3 +1,4 @@
+import heapq
 import os
 import random
 import subprocess
@@ -741,6 +742,68 @@ def test_invariant_checks_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["mes", "phragmen", "balance_loads", "lp"]
+
+
+# ---------------------------------------------------------------------------
+# The selection heap
+
+
+def tuple_pop_ties(heap, stale, evaluate):
+    """``rules._pop_ties`` on a heap of (value, id) tuples, the reference
+    for the order of its keys."""
+    best, tied = None, []
+    while heap and (best is None or heap[0][0] == best):
+        key, p = heapq.heappop(heap)
+        if p in stale:
+            stale.discard(p)
+            value = evaluate(p)
+            if value is not None:
+                heapq.heappush(heap, (value, p))
+        else:
+            best = key
+            tied.append(p)
+    return best, tied
+
+
+HEAP_VALUES = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    | st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_heap_keys_order_as_value_id_tuples(data):
+    # few values shared by many ids give ties; the big ones overflow any word
+    values = data.draw(HEAP_VALUES)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(values), st.text("abcd", max_size=3)),
+                               unique_by=lambda pair: pair[1], max_size=25))
+    heap = [rules._Key(v, p) for v, p in pairs]
+    heapq.heapify(heap)
+    popped = [heapq.heappop(heap) for _ in pairs]
+    assert [(key.value, key.p) for key in popped] == sorted(pairs)
+
+    # a stale project rises by its delta when it reaches the top, or drops out
+    raised = {}
+    for v, p in pairs:
+        if data.draw(st.booleans()):
+            delta = data.draw(st.sampled_from((None, 0, Fraction(1, 3), 10**30)))
+            raised[p] = None if delta is None else v + delta
+    keys = [rules._Key(v, p) for v, p in pairs]
+    tuples = list(pairs)
+    heapq.heapify(keys)
+    heapq.heapify(tuples)
+    stale_keys, stale_tuples = set(raised), set(raised)
+    while True:
+        got = rules._pop_ties(keys, stale_keys, raised.get)
+        want = tuple_pop_ties(tuples, stale_tuples, raised.get)
+        assert got == want
+        if not got[1]:
+            break
+        for p in got[1][1:]:  # as _select pushes back the ties it does not pick
+            heapq.heappush(keys, rules._Key(got[0], p))
+            heapq.heappush(tuples, (want[0], p))
+    assert not keys and not tuples
 
 
 @settings(max_examples=25, deadline=None)
