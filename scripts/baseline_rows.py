@@ -6,7 +6,8 @@ times only the library call (instance generation and start-up are left
 out) and prints the result as JSON; the file records, per row, the status
 ("ok", "timeout" or "error"), the wall seconds of the call, the outcome
 size and the SHA-256 of the child's stdout, so two labels can be compared
-for both speed and output.
+for both speed and output. The cold-* row is the exception: it times a
+whole ``pb`` process, start-up included.
 
 Rows, all on seed 1:
   mes-*, phragmen-*, maximin-*: MES[card], sequential Phragmen and maximin
@@ -16,7 +17,14 @@ Rows, all on seed 1:
   pjr-clustered-*: check_pjr with card, guards raised to 64 projects and
       10**6 voters, on the MES[card] outcome of the benchmark's clustered
       election generator (perfbench/elections.py, imported read-only) drawn
-      with random.Random("baseline:1").
+      with random.Random("baseline:1");
+  cold-run-clustered: one fresh process, timed from its start to its exit,
+      running ``pb run --rule mes --sat card`` on that generator's 1200x40
+      .pb file. Its stdout is that process's stdout, so the digest is the
+      one of ``pb``'s JSON, and the row also records the pbprop modules the
+      process loaded. Its time includes compiling pbprop only where no
+      __pycache__ holds it: time it from a fresh copy of the checkout with
+      PYTHONDONTWRITEBYTECODE=1 to count compiling on every run.
 
 Example:
     python scripts/baseline_rows.py after maximin-100x20 price-8x12
@@ -28,6 +36,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -47,7 +56,17 @@ ROWS = {
     "price-8x12": ("price", 8, 12),
     "price-16x16": ("price", 16, 16),
     "pjr-clustered-1200x40": ("pjr", 1200, 40),
+    "cold-run-clustered": ("cold", 1200, 40),
 }
+# The cold row's process: pb run on argv[2], with pbprop from argv[1]; it
+# lists the pbprop modules it loaded as its last stderr line.
+COLD_RUN = """import sys
+sys.path.insert(0, sys.argv[1])
+from pbprop.cli import main
+code = main(["run", "--rule", "mes", "--sat", "card", sys.argv[2]])
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "pbprop"), file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def canonical(trace) -> dict:
@@ -65,18 +84,41 @@ def trace_sha256(trace) -> str:
     return hashlib.sha256(json.dumps(canonical(trace), default=str).encode()).hexdigest()
 
 
+def cold_run(n: int, m: int) -> tuple[float, str, list[str]]:
+    """Time one fresh ``pb run`` process on the clustered election; returns
+    its wall seconds, its stdout and the pbprop modules it loaded."""
+    sys.path.insert(0, str(SRC.parent / "perfbench"))
+    import elections
+
+    election = elections.clustered(random.Random("baseline:1"), n, m)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clustered.pb"
+        path.write_text(election.to_pabulib())
+        start = perf_counter()
+        proc = subprocess.run([sys.executable, "-c", COLD_RUN, str(SRC), str(path)],
+                              capture_output=True, text=True, check=True)
+        wall = perf_counter() - start
+    return wall, proc.stdout, proc.stderr.splitlines()[-1].split()
+
+
 def run_row(name: str) -> None:
-    """Child side: run one row, print its result on stdout and the seconds
-    of the timed call on stderr. It imports pbprop from this checkout's
-    ``src/``, whatever PYTHONPATH says."""
+    """Child side: run one row, print its result on stdout and, as the last
+    stderr line, a JSON object with the seconds of the timed call
+    (``wall_s``) and any other figures of the row. It imports pbprop from
+    this checkout's ``src/``, whatever PYTHONPATH says."""
     sys.path.insert(0, str(SRC))
+    kind, n, m = ROWS[name]
+    if kind == "cold":  # the timed process is a fresh one, not this one
+        wall, stdout, modules = cold_run(n, m)
+        sys.stdout.write(stdout)
+        print(json.dumps({"wall_s": wall, "modules": modules}), file=sys.stderr)
+        return
     from pbprop.axioms import check_pjr
     from pbprop.model import GenParams, Instance, generate_random
     from pbprop.pricing import find_price_system
     from pbprop.rules import run_maximin_support, run_mes, run_seq_phragmen
     from pbprop.satisfaction import cardinality_sat
 
-    kind, n, m = ROWS[name]
     if kind == "price":
         inst = generate_random(GenParams(n, m), seed=1)
         outcome, _ = run_mes(inst, cardinality_sat(inst))
@@ -113,7 +155,7 @@ def run_row(name: str) -> None:
                   "selections": [[r, p, str(v)] for r, p, v in trace.selections],
                   "trace_sha256": trace_sha256(trace)}
     print(json.dumps(result))
-    print(wall, file=sys.stderr)
+    print(json.dumps({"wall_s": wall}), file=sys.stderr)
 
 
 def time_row(name: str) -> dict:
@@ -130,9 +172,9 @@ def time_row(name: str) -> dict:
         row["status"] = "error"
         row["error"] = proc.stderr.strip().splitlines()[-1:]
         return row
-    row["wall_s"] = float(proc.stderr.split()[-1])
     row["outcome_size"] = len(json.loads(proc.stdout)["outcome"])
     row["stdout_sha256"] = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    row.update(json.loads(proc.stderr.splitlines()[-1]))
     return row
 
 

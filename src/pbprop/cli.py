@@ -8,17 +8,23 @@ Exit codes: 0 success, 1 parse/IO error, 2 violation/negative verdict or
 unavailable price extraction, 3 exponential-search guard exceeded, 64 usage
 error, 70 internal invariant broken (a bug in pbprop, never a property of
 the input).
+
+Each verb imports only the modules it runs: ``gen`` and ``run`` load no
+price machinery or worked examples, nor, but for GCR, the axiom checkers.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import axioms, pricing, repro, rules
-from .errors import CapabilityError, GuardExceededError, InvariantError
+from . import rules
+from .errors import (
+    CapabilityError, ExtractionUnavailableError, GuardExceededError, InvariantError,
+)
 from .model import (
     GenParams,
     Instance,
@@ -37,12 +43,18 @@ from .model import (
 )
 from .satisfaction import BUILTINS, SatisfactionFunction, cc_sat, cost_map_sat, table_sat
 
+if TYPE_CHECKING:  # the verbs that use these import them
+    from . import axioms, pricing
+
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VIOLATION = 2
 EXIT_GUARD = 3
 EXIT_USAGE = 64
 EXIT_INVARIANT = 70
+
+# the keys of axioms.AXIOM_CHECKERS, kept here so the parser needs no axioms import
+AXIOM_NAMES = ("ejr", "ejr1", "ejr1plus", "ejrx", "pjr", "pjr1", "pjrx", "localbpjr")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +77,13 @@ def _load_instance(path: str) -> Instance:
 
 def _load_outcome(spec: str, inst: Instance) -> frozenset[str]:
     """An outcome is a comma-separated id list, or a path to a JSON list."""
-    if Path(spec).is_file():
+    try:
+        is_file = Path(spec).is_file()
+    except OSError as exc:  # a spec too long to name a file is an id list
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        is_file = False
+    if is_file:
         ids = load_json(Path(spec).read_text(encoding="utf-8-sig"))
         if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
             raise ParseError("outcome file must hold a JSON list of project ids")
@@ -155,7 +173,7 @@ def _make_parser() -> _Parser:
 
     p_audit = sub.add_parser("audit", help="check an outcome against axioms")
     p_audit.add_argument("--axiom", default="all",
-                         choices=[*axioms.AXIOM_CHECKERS, "all"])
+                         choices=[*AXIOM_NAMES, "all"])
     p_audit.add_argument("--sat", default="cost", help=SAT_HELP)
     p_audit.add_argument("instance")
     p_audit.add_argument("outcome",
@@ -232,10 +250,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from . import axioms
+
     inst = _load_instance(args.instance)
     mu = _build_sat(args.sat, inst)
     outcome = _load_outcome(args.outcome, inst)
-    names = list(axioms.AXIOM_CHECKERS) if args.axiom == "all" else [args.axiom]
+    names = list(AXIOM_NAMES) if args.axiom == "all" else [args.axiom]
     report = axioms.audit_all(inst, mu, outcome, axioms=names)
     payload = {
         "sat": mu.kind,
@@ -271,6 +291,8 @@ def _report_json(report: pricing.PriceReport) -> dict:
 
 
 def _cmd_price(args) -> int:
+    from . import pricing
+
     inst = _load_instance(args.instance)
     if args.price_command == "verify":
         outcome = _load_outcome(args.outcome, inst)
@@ -330,6 +352,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_repro(args) -> int:
+    from . import repro
+
     try:
         results = repro.run_all(args.cases or None)
     except ValueError as exc:
@@ -374,7 +398,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"pb: internal invariant broken: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except pricing.ExtractionUnavailableError as exc:  # no system to report
+    except ExtractionUnavailableError as exc:  # no system to report
         print(f"pb: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (ParseError, InstanceError, OSError, UnicodeDecodeError) as exc:

@@ -6,6 +6,11 @@ class CapabilityError(TypeError):
     required capability (e.g. additivity)."""
 
 
+class ExtractionUnavailableError(RuntimeError):
+    """The trace lacks the data the extraction needs (e.g. no blocking
+    project in a Phragmen run that exhausted its candidates)."""
+
+
 class GuardExceededError(RuntimeError):
     """An exact but exponential procedure was invoked beyond its size guard."""
 

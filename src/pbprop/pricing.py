@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
 
-from .errors import GuardExceededError
+from .errors import ExtractionUnavailableError, GuardExceededError
 from .lp import solve_lp
 from .model import (
     Instance, InstanceError, ParseError, VoterMap, dumps, load_json, money_str,
@@ -31,11 +31,6 @@ from .model import (
 from .rules import RuleTrace
 
 CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
-
-
-class ExtractionUnavailableError(RuntimeError):
-    """The trace lacks the data the extraction needs (e.g. no blocking
-    project in a Phragmen run that exhausted its candidates)."""
 
 
 Row = Mapping[str, Fraction]  # project -> amount

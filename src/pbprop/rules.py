@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .axioms import _guard, demand_sets
 from .errors import CapabilityError, InvariantError
 from .maxflow import FlowNetwork
 from .model import Instance, InstanceError
@@ -508,6 +507,8 @@ def run_gcr(
     """Greedy Cohesive Rule: repeatedly grant the highest-satisfaction
     project set demanded by a cohesive group of not-yet-served voters,
     then retire the maximal such group. Exponential; size-guarded."""
+    from .axioms import _guard, demand_sets  # only GCR enumerates demands
+
     _guard(inst, max_m, max_n)
     chosen: set[str] = set()
     active = set(inst.ballot_types())  # unserved: a group retires whole ballot types

@@ -13,7 +13,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import CapabilityError, GuardExceededError
+from .errors import CapabilityError
 from .model import Instance, ParseError, parse_money
 
 RATIONALIZE_DIGITS = 12
@@ -197,29 +197,6 @@ def check_dns(mu: SatisfactionFunction, inst: Instance) -> DnsViolation | None:
 
 def is_dns(mu: SatisfactionFunction, inst: Instance) -> bool:
     return check_dns(mu, inst) is None
-
-
-def is_strictly_cost_responsive(
-    mu: SatisfactionFunction, inst: Instance, max_m: int = 16
-) -> bool:
-    """Exhaustively check that cheaper sets always give strictly less
-    satisfaction: c(W) < c(W') implies mu(W) < mu(W')."""
-    if inst.m > max_m:
-        raise GuardExceededError(f"m={inst.m} exceeds guard {max_m}")
-    by_cost: dict[Fraction, list[Fraction]] = {}
-    projects = list(inst.projects)
-    for bits in range(1 << inst.m):
-        s = frozenset(projects[j] for j in range(inst.m) if bits >> j & 1)
-        by_cost.setdefault(inst.total_cost(s), []).append(mu.value(s))
-    running_max = None
-    for cost in sorted(by_cost):
-        vals = by_cost[cost]
-        if running_max is not None and running_max >= min(vals):
-            return False
-        high = max(vals)
-        if running_max is None or high > running_max:
-            running_max = high
-    return True
 
 
 # ---------------------------------------------------------------------------

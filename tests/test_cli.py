@@ -192,6 +192,23 @@ def test_audit_outcome_file_must_list_ids(capsys, inst_file, tmp_path, ids):
     assert "pb: outcome file must hold a JSON list of project ids" in err
 
 
+def test_outcome_list_too_long_for_a_file_name(capsys, tmp_path):
+    # 40 ids give a 359-byte spec, longer than a file name may be
+    ids = [f"proj{j:04d}" for j in range(1, 41)]
+    path = tmp_path / "inst.json"
+    path.write_text(emit_json(Instance.create(dict.fromkeys(ids, 1), [set(ids)], 40)))
+    system = tmp_path / "ps.json"
+    system.write_text(json.dumps({"B": "40", "payments": {"1": dict.fromkeys(ids, "1")}}))
+    spec = ",".join(ids)
+    code, out, err = run_cli(capsys, "audit", "--axiom", "ejr", str(path), spec)
+    assert code == 3  # 40 projects exceed the audit's guard, after the outcome is read
+    assert json.loads(out)["outcome"] == ids
+    code, out, err = run_cli(capsys, "price", "verify", str(path), spec, str(system))
+    assert (code, json.loads(out)["verdict"]) == (0, "pass"), err
+    code, out, err = run_cli(capsys, "price", "find", str(path), spec)
+    assert (code, json.loads(out)["found"]) == (0, True), err
+
+
 def test_audit_guard_exit_code(capsys, tmp_path):
     big = Instance.create({"a": 1}, [{"a"} for _ in range(13)], 13)
     path = tmp_path / "big.json"
@@ -680,6 +697,22 @@ def test_baseline_rows_writes_bench_json(tmp_path):
     assert row["row"] == "maximin-100x20" and row["status"] == "ok"
     assert row["wall_s"] > 0 and row["outcome_size"] > 0
     assert len(row["stdout_sha256"]) == 64
+
+
+def test_baseline_rows_cold_row_times_a_whole_pb_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "baseline_rows.py"),
+         "check", "cold-run-clustered", "--out", str(tmp_path)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [row] = json.loads((tmp_path / "BENCH_check.json").read_text())["rows"]
+    assert row["status"] == "ok" and row["wall_s"] > 0 and row["outcome_size"] > 0
+    assert row["modules"] == ["pbprop", "pbprop.cli", "pbprop.errors", "pbprop.maxflow",
+                              "pbprop.model", "pbprop.rules", "pbprop.satisfaction"]
 
 
 def test_baseline_rows_imports_its_own_checkout(tmp_path):

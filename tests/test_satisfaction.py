@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_instance
 import pbprop
 from pbprop.axioms import audit_all
-from pbprop.errors import CapabilityError, GuardExceededError
+from pbprop.errors import CapabilityError
 from pbprop.model import Instance, ParseError
 from pbprop.repro import priceable_not_pjrx_example, table_mu_example
 from pbprop.satisfaction import (
@@ -25,7 +25,6 @@ from pbprop.satisfaction import (
     cost_sat,
     dns_counterexample_instance,
     is_dns,
-    is_strictly_cost_responsive,
     log_cost_sat,
     share_sat,
     sqrt_cost_sat,
@@ -198,23 +197,6 @@ def test_dns_violation_witness():
     # the witness really breaks the per-cost inequality
     assert (mu.per_project[v.cheap] / inst.costs[v.cheap]
             < mu.per_project[v.pricey] / inst.costs[v.pricey])
-
-
-def test_strict_cost_responsiveness():
-    inst = Instance.create({"a": 3, "b": 1, "c": 1}, [{"a", "b", "c"}], 4)
-    assert is_strictly_cost_responsive(cost_sat(inst), inst)
-    # cheaper {b,c} (cost 2) beats pricier {a} (cost 3) under cardinality
-    assert not is_strictly_cost_responsive(cardinality_sat(inst), inst)
-    single = Instance.create({"a": 2}, [{"a"}], 2)
-    assert is_strictly_cost_responsive(cardinality_sat(single), single)
-
-
-def test_strict_cost_responsiveness_guard():
-    inst = Instance.create(
-        {f"p{j}": 1 for j in range(1, 19)}, [{"p1"}], 5
-    )
-    with pytest.raises(GuardExceededError):
-        is_strictly_cost_responsive(cost_sat(inst), inst)
 
 
 def test_builtins_invariant_under_project_renaming():
