@@ -18,6 +18,13 @@ Rows, all on seed 1:
       10**6 voters, on the MES[card] outcome of the benchmark's clustered
       election generator (perfbench/elections.py, imported read-only) drawn
       with random.Random("baseline:1");
+  maximin-extract-clustered-800x30: extract_from_maximin_trace on the
+      benchmark's seed-1 clustered file c01, drawn by that generator with
+      random.Random("elect-clustered:1:1"); run_maximin_support runs
+      untimed first. The configuration's own loads fail the check, so the
+      extraction re-splits the payments with the price LP (2,636 payment
+      variables, no size guard). Prints the outcome and the system. It
+      runs for minutes; past TIMEOUT_S it is recorded as "timeout";
   cold-run-clustered: one fresh process, timed from its start to its exit,
       running ``pb run --rule mes --sat card`` on that generator's 1200x40
       .pb file. Its stdout is that process's stdout, so the digest is the
@@ -56,6 +63,7 @@ ROWS = {
     "price-8x12": ("price", 8, 12),
     "price-16x16": ("price", 16, 16),
     "pjr-clustered-1200x40": ("pjr", 1200, 40),
+    "maximin-extract-clustered-800x30": ("maximin-extract", 800, 30),
     "cold-run-clustered": ("cold", 1200, 40),
 }
 # The cold row's process: pb run on argv[2], with pbprop from argv[1]; it
@@ -115,7 +123,7 @@ def run_row(name: str) -> None:
         return
     from pbprop.axioms import check_pjr
     from pbprop.model import GenParams, Instance, generate_random
-    from pbprop.pricing import find_price_system
+    from pbprop.pricing import extract_from_maximin_trace, find_price_system
     from pbprop.rules import run_maximin_support, run_mes, run_seq_phragmen
     from pbprop.satisfaction import cardinality_sat
 
@@ -140,6 +148,17 @@ def run_row(name: str) -> None:
         result = {"outcome": sorted(outcome), "violation": v and {
             "t": sorted(v.witness.t), "group": sorted(v.witness.group),
             "lhs": str(v.lhs), "rhs": str(v.rhs)}}
+    elif kind == "maximin-extract":
+        sys.path.insert(0, str(SRC.parent / "perfbench"))
+        import elections
+
+        election = elections.clustered(random.Random("elect-clustered:1:1"), n, m)
+        inst = Instance.create(election.costs, election.ballots, election.budget)
+        outcome, trace = run_maximin_support(inst)
+        start = perf_counter()
+        ps = extract_from_maximin_trace(inst, trace)
+        wall = perf_counter() - start
+        result = {"outcome": sorted(outcome), "system": json.loads(ps.to_json())}
     else:
         params = GenParams(n, m, density=0.2, budget_min=Fraction(3 * m, 4),
                            budget_max=Fraction(m))

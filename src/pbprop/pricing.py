@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf, lcm
+from math import lcm
 
 from .errors import ExtractionUnavailableError, GuardExceededError
 from .lp import solve_lp
@@ -149,15 +149,15 @@ def verify_price_system(
 ) -> PriceReport:
     """Re-evaluate all six conditions exactly against a candidate system.
 
-    Holders of one class pay one row, so C2 and C3 are checked and C4
-    summed once per class; holders of one class and one ballot also pass or
-    fail C1 together and count alike towards C5 and C6, which are taken once
-    per distinct ballot within a class. The lowest voter concerned stands
-    for them in a witness, and the witness a scan meets first wins, so
-    verdicts, first witnesses and the order in which conditions first fail
-    are those of a voter-by-voter check. The sums run on ints: money is
-    counted in units of 1/den, with den the lcm of the denominators of B/n,
-    every cost and every amount."""
+    One scan runs over ballot units, in order of their lowest voter: a unit
+    is one distinct ballot among a class's holders, whose voters pass or
+    fail C1-C3 together and count alike towards C4-C6, so its lowest voter
+    stands for it. When B/n < 0, the lowest unlisted voter is a unit with an
+    empty row. Each check keeps its first failure, C1 and C2 at each row
+    entry and C3 once the row is summed, so verdicts, first witnesses and
+    the order in which conditions first fail are those of a voter-by-voter
+    check. The sums run on ints: money is counted in units of 1/den, with
+    den the lcm of the denominators of B/n, every cost and every amount."""
     w = inst.check_outcome(outcome)
     classes = [(holders, row) for holders, row in ps.classes if holders]
     listed = _listed(inst, classes)
@@ -166,73 +166,59 @@ def verify_price_system(
               *{a.denominator for _, row in classes for a in row.values()})
     cost = {p: c.numerator * (den // c.denominator) for p, c in inst.costs.items()}
     quota = share.numerator * (den // share.denominator)  # B/n
-    first: dict[str, tuple] = {}  # condition -> (scan position, witness)
-
-    def fail(name: str, witness: tuple, at: tuple = (inf,)) -> None:
-        """Keep the witness that a voter-by-voter scan meets first; ``at``
-        is where it meets it: (voter, position in the row, check)."""
-        if name not in first or at < first[name][0]:
-            first[name] = (at, witness)
-
-    paid = dict.fromkeys(w, 0)
-    pooled: dict[str, int] = {}  # unchosen project -> its listed approvers' leftover
-    counted: dict[str, int] = {}  # unchosen project -> its listed approvers
-    towards: dict[str, dict[str, int]] = {}  # unchosen pj -> chosen pk -> paid by N_j
+    units = []  # (lowest voter, ballot, holder count, row scaled to ints)
     for holders, row in classes:
-        low, k = min(holders), len(holders)
         scaled = [(p, a.numerator * (den // a.denominator)) for p, a in row.items()]
+        units += [(low, ballot, k, scaled) for ballot, k, low in _ballots(inst, holders)]
+    if quota < 0 and len(listed) < inst.n:  # an unlisted voter spends 0 > B/n
+        i = next(i for i in inst.voters if i not in listed)
+        units.append((i, inst.approvals[i - 1], 1, []))
+    units.sort(key=lambda unit: unit[0])
+    verdicts: dict[str, tuple[bool, tuple | None]] = {}
+    paid = dict.fromkeys(w, 0)
+    spends: dict[str, int] = {}  # unchosen project -> what its approvers spend
+    towards: dict[str, dict[str, int]] = {}  # unchosen pj -> chosen pk -> paid by N_j
+    for low, ballot, k, row in units:
         spent = 0
-        for p, a in scaled:
+        for p, a in row:
             if p not in cost:
                 raise InstanceError(f"payment on unknown project {p!r}")
             if a < 0:
                 raise InstanceError(f"negative payment by voter {low} on {p!r}")
-            spent += a
+            if a and p not in ballot:
+                verdicts.setdefault("C1", (False, (low, p)))
             if p in paid:
                 paid[p] += k * a
+            elif a:
+                verdicts.setdefault("C2", (False, (low, p)))
+            spent += a
         if spent > quota:
-            fail("C3", (low,), (low, len(scaled), 2))
-        positive = [(j, p) for j, (p, a) in enumerate(scaled) if a > 0]
-        outside = next(((j, p) for j, p in positive if p not in w), None)
-        if outside is not None:
-            fail("C2", (low, outside[1]), (low, outside[0], 1))
-        left = quota - spent
-        pay = [(p, a) for p, a in scaled if a and p in w]
-        for ballot, count, lowest in _ballots(inst, holders):
-            unapproved = next(((j, p) for j, p in positive if p not in ballot), None)
-            if unapproved is not None:
-                fail("C1", (lowest, unapproved[1]), (lowest, unapproved[0], 0))
-            for pj in ballot:
-                if pj in w:
-                    continue
-                pooled[pj] = pooled.get(pj, 0) + count * left
-                counted[pj] = counted.get(pj, 0) + count
-                if pay:
-                    sums = towards.setdefault(pj, {})
-                    for pk, a in pay:
-                        sums[pk] = sums.get(pk, 0) + count * a
-    if quota < 0 and len(listed) < inst.n:  # an unlisted voter spends 0 > B/n
-        i = next(i for i in inst.voters if i not in listed)
-        fail("C3", (i,), (i, 0, 2))
+            verdicts.setdefault("C3", (False, (low,)))
+        pay = [(p, a) for p, a in row if a and p in paid]
+        for pj in ballot:
+            if pj in paid:
+                continue
+            spends[pj] = spends.get(pj, 0) + k * spent
+            if pay:
+                sums = towards.setdefault(pj, {})
+                for pk, a in pay:
+                    sums[pk] = sums.get(pk, 0) + k * a
     chosen = sorted(w)
     short = next((p for p in chosen if paid[p] != cost[p]), None)
     if short is not None:
-        fail("C4", (short,))
+        verdicts["C4"] = (False, (short,))
     unchosen = [p for p in inst.projects if p not in w]
     size = inst.approver_counts()
-    for p in unchosen:  # the approvers' pooled leftover; unlisted ones keep B/n
-        unlisted = size[p] - counted.get(p, 0)
-        if pooled.get(p, 0) + unlisted * quota > cost[p]:
-            fail("C5", (p,))
-            break
+    # C5: N_p holds |N_p| B/n and spends some of it; unlisted voters spend 0
+    rich = next((p for p in unchosen if size[p] * quota - spends.get(p, 0) > cost[p]), None)
+    if rich is not None:
+        verdicts["C5"] = (False, (rich,))
     for pj in unchosen:
         sums = towards.get(pj, {})
         over = next((pk for pk in chosen if sums.get(pk, 0) > cost[pj]), None)
         if over is not None:
-            fail("C6", (pj, over))
+            verdicts["C6"] = (False, (pj, over))
             break
-    # C4-C6 tie at (inf,) and keep the order in which they are checked
-    verdicts = {c: (False, first[c][1]) for c in sorted(first, key=lambda c: first[c][0])}
     for name in CONDITIONS:
         verdicts.setdefault(name, (True, None))
     return PriceReport(verdicts=verdicts, b_strict=ps.budget > inst.budget)
@@ -306,18 +292,14 @@ def extract_from_maximin_trace(inst: Instance, trace: RuleTrace) -> PriceSystem:
     budget = _blocked_budget(inst, trace, "maximin", "maximin")
     w = sorted(trace.payment_classes)
     ps = PriceSystem(budget=budget, classes=_trace_classes(trace))
-    report = verify_price_system(inst, w, ps)
-    if all(report.verdicts[c][0] for c in CONDITIONS):
+    if verify_price_system(inst, w, ps).ok(require_c6=True, require_b_strict=False):
         return ps
-    pay_vars = _payment_vars(inst, w)
-    status, x, _ = _solve_price_lp(
-        inst, w, pay_vars, Fraction(0), require_c6=True, pinned_budget=budget
-    )
-    if status != "optimal":
+    solved = _solve_price_lp(inst, w, Fraction(0), require_c6=True, pinned_budget=budget)
+    if solved is None:
         raise ExtractionUnavailableError(
             "no condition-respecting payments exist at the blocked budget"
         )
-    return PriceSystem(budget=budget, classes=_payments(pay_vars, x))
+    return solved[1]
 
 
 # ---------------------------------------------------------------------------
@@ -336,60 +318,51 @@ def find_price_system(
     its lower bound; with ``require_b_strict`` success needs positive slack
     (B strictly above the real budget)."""
     w = sorted(inst.check_outcome(outcome))
-    pay_vars = _payment_vars(inst, w)
-    if len(pay_vars) > max_payment_vars:
+    counts = inst.approver_counts()
+    size = sum(counts[p] for p in w)  # one payment variable per approver of each p
+    if size > max_payment_vars:
         raise GuardExceededError(
-            f"{len(pay_vars)} payment variables exceed guard {max_payment_vars}"
+            f"{size} payment variables exceed guard {max_payment_vars}"
         )
     lower = inst.budget if require_b_strict else Fraction(0)
-    status, x, value = _solve_price_lp(inst, w, pay_vars, lower, require_c6)
-    if status != "optimal" or (require_b_strict and value <= 0):
+    solved = _solve_price_lp(inst, w, lower, require_c6)
+    if solved is None or (require_b_strict and solved[0] <= 0):
         return None
-    return PriceSystem(budget=x[1], classes=_payments(pay_vars, x))
-
-
-def _payment_vars(inst: Instance, w: list[str]) -> list[tuple[int, str]]:
-    """C1 and C2 by variable choice: one d_i(p) per chosen p and approver i."""
-    return [(i, p) for p in w for i in sorted(inst.approvers(p))]
-
-
-def _payments(pay_vars, x) -> list[tuple[list[int], dict[str, Fraction]]]:
-    """The LP's payments as one ([voter], row) class per paying voter, by
-    ascending voter."""
-    payments: dict[int, dict[str, Fraction]] = {}
-    for (i, p), amount in zip(pay_vars, x[2:]):
-        if amount > 0:
-            payments.setdefault(i, {})[p] = amount
-    return [([i], payments[i]) for i in sorted(payments)]
+    return solved[1]
 
 
 def _solve_price_lp(
     inst: Instance,
     w: list[str],
-    pay_vars: list[tuple[int, str]],
     lower: Fraction,
     require_c6: bool,
     pinned_budget: Fraction | None = None,
-):
-    """Solve the price-system LP over x = [t, B, d_(i,p)...] >= 0: maximize
-    t subject to B >= lower + t, t <= b + 1, C3-C5 (and C6) and, when
-    ``pinned_budget`` is given, B = pinned_budget last; each condition is a
-    sparse ({column: coefficient}, rhs) pair, as ``solve_lp`` takes it."""
-    col = {key: 2 + k for k, key in enumerate(pay_vars)}
+) -> tuple[Fraction, PriceSystem] | None:
+    """Solve the price-system LP over x = [t, B, d_(i,p)...] >= 0, with one
+    payment d_i(p) per chosen p and approver i, which gives C1 and C2:
+    maximize t subject to B >= lower + t, t <= b + 1, C3-C5 (and C6) and,
+    when ``pinned_budget`` is given, B = pinned_budget last. Each condition
+    is a sparse ({column: coefficient}, rhs) pair, as ``solve_lp`` takes it.
+    Returns (t, the system at the optimum, one class per paying voter by
+    ascending voter), or None when no system exists."""
+    cols: dict[int, dict[str, int]] = {}  # voter -> chosen p -> column of d_i(p)
+    width = 2
+    for p in w:
+        for i in sorted(inst.approvers(p)):
+            cols.setdefault(i, {})[p] = width
+            width += 1
     ub = [
         ({0: 1, 1: -1}, -lower),  # t - B <= -lower, i.e. B >= lower + t
         ({0: 1}, inst.budget + 1),  # t <= b + 1 keeps the objective bounded
     ]
-    for i in inst.voters:  # C3: sum_p d_i(p) <= B/n
-        mine = {col[key]: 1 for key in pay_vars if key[0] == i}
-        if mine:
-            ub.append(({1: Fraction(-1, inst.n), **mine}, 0))
-    eq = [({col[(i, p)]: 1 for i in inst.approvers(p)}, inst.costs[p]) for p in w]  # C4
+    for i in sorted(cols):  # C3: sum_p d_i(p) <= B/n
+        ub.append(({1: Fraction(-1, inst.n), **dict.fromkeys(cols[i].values(), 1)}, 0))
+    eq = [({cols[i][p]: 1 for i in inst.approvers(p)}, inst.costs[p]) for p in w]  # C4
     unchosen = [p for p in inst.projects if p not in w]
     for pj in unchosen:  # C5: |N_j| B/n - sum_{i in N_j} sum_p d_i(p) <= c(p_j)
         group = inst.approvers(pj)
         if group:
-            row = {col[(i, p)]: -1 for i, p in pay_vars if i in group}
+            row = {c: -1 for i in group if i in cols for c in cols[i].values()}
             ub.append(({1: Fraction(len(group), inst.n), **row}, inst.costs[pj]))
     if require_c6:
         for pj in unchosen:  # C6: sum_{i in N_j} d_i(p_k) <= c(p_j)
@@ -397,7 +370,11 @@ def _solve_price_lp(
             for pk in w:
                 payers = group & inst.approvers(pk)
                 if payers:
-                    ub.append(({col[(i, pk)]: 1 for i in payers}, inst.costs[pj]))
+                    ub.append(({cols[i][pk]: 1 for i in payers}, inst.costs[pj]))
     if pinned_budget is not None:
         eq.append(({1: 1}, pinned_budget))
-    return solve_lp(2 + len(pay_vars), {0: 1}, ub, eq)
+    status, x, t = solve_lp(width, {0: 1}, ub, eq)
+    if status != "optimal":
+        return None
+    rows = {i: {p: x[c] for p, c in mine.items() if x[c] > 0} for i, mine in sorted(cols.items())}
+    return t, PriceSystem(budget=x[1], classes=[([i], row) for i, row in rows.items() if row])

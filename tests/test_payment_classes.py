@@ -221,6 +221,26 @@ def test_negative_budget_fails_c3_at_the_lowest_unlisted_voter():
     assert report == reference_verify_price_system(inst, {"a"}, ps)
 
 
+def regrouped(rng, budget, rows) -> PriceSystem:
+    """``rows`` (voter -> row) as classes that mix ballots and come in any
+    order: voters whose rows are equal, key order included, share a class,
+    split at random; holders and classes are shuffled, and about 10% of the
+    payers are left unlisted."""
+    same: dict[tuple, list[int]] = {}
+    for i, row in rows.items():
+        if rng.random() >= 0.1:
+            same.setdefault(tuple(row.items()), []).append(i)
+    classes = []
+    for key, voters in same.items():
+        rng.shuffle(voters)
+        while voters:
+            cut = rng.randint(1, len(voters))
+            classes.append((voters[:cut], dict(key)))
+            voters = voters[cut:]
+    rng.shuffle(classes)
+    return PriceSystem(budget, classes=classes)
+
+
 def test_verdict_order_is_that_of_a_voter_by_voter_check():
     rng = random.Random(9)
     for seed in range(80):
@@ -230,7 +250,11 @@ def test_verdict_order_is_that_of_a_voter_by_voter_check():
             if rows:  # one payer overspends and pays an unchosen project
                 i = rng.choice(sorted(rows))
                 rows[i][rng.choice(inst.projects)] = inst.budget
-            variant = per_voter_system(ps.budget * rng.choice((1, Fraction(1, 2))), rows)
-            got = verify_price_system(inst, w, variant)
-            want = reference_verify_price_system(inst, w, variant)
-            assert list(got.verdicts.items()) == list(want.verdicts.items())
+            budget = ps.budget * rng.choice((1, Fraction(1, 2)))
+            variants = [per_voter_system(budget, rows)]
+            variants += [regrouped(rng, b, rows) for b in (budget, -budget)]
+            for variant in variants:
+                got = verify_price_system(inst, w, variant)
+                want = reference_verify_price_system(inst, w, variant)
+                assert list(got.verdicts.items()) == list(want.verdicts.items())
+                assert got.b_strict == want.b_strict

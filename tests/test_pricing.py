@@ -92,6 +92,16 @@ def test_verify_rejects_malformed():
         verify_price_system(
             inst, {"a"}, per_voter_system(Fraction(1), {1: {"a": Fraction(-1)}})
         )
+    # a file lists voter 5 first, but the lowest offending voter is named
+    five = Instance.create({"a": 1}, [{"a"}] * 5, 1)
+    for five_pays in ('{"a": "-1"}', '{"zz": "1"}'):
+        ps = PriceSystem.from_json(
+            f'{{"B": "1", "payments": {{"5": {five_pays}, "2": {{"a": "-1/2"}}}}}}')
+        with pytest.raises(InstanceError) as want:
+            reference_verify_price_system(five, {"a"}, ps)
+        assert str(want.value) == "negative payment by voter 2 on 'a'"
+        with pytest.raises(InstanceError, match=f"^{want.value}$"):
+            verify_price_system(five, {"a"}, ps)
 
 
 def test_verify_refuses_an_outcome_over_the_budget():
@@ -339,6 +349,13 @@ def test_find_guard():
     inst = Instance.create({"a": 1, "b": 1}, [{"a", "b"}], 2)
     with pytest.raises(GuardExceededError):
         find_price_system(inst, {"a"}, max_payment_vars=0)
+    # one payment variable per approver of each chosen project: 3 + 3 here
+    inst = Instance.create({"a": 1, "b": 1, "c": 1},
+                           [{"a", "b"}, {"a", "b"}, {"a"}, {"b", "c"}], 2)
+    with pytest.raises(GuardExceededError, match="^6 payment variables exceed guard 5$"):
+        find_price_system(inst, {"a", "b"}, max_payment_vars=5)
+    ps = find_price_system(inst, {"a", "b"}, require_b_strict=False, max_payment_vars=6)
+    assert verify_price_system(inst, {"a", "b"}, ps).ok(require_b_strict=False)
 
 
 def test_find_rejects_infeasible_outcome():
