@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time parsing, MES[card], MES[cost], Phragmen, maximin support and the
-writing of their traces here against another checkout.
+"""Time parsing, MES[card], MES[cost], Phragmen, maximin support, the
+writing of their traces and the axiom audits here against another checkout.
 
 Both checkouts' ``src/pbprop`` are imported in one process under their own
 package names, ``pbprop_this`` and ``pbprop_other``, so the two codes share
@@ -29,6 +29,16 @@ construction out: work that moves between building an ``Instance`` and
 running a rule shows there as a change in the rule. The ``all`` row sums
 the parse, the rules and the writes of each round, and is the one to read
 for such a move.
+
+The ``audit`` block runs the benchmark's ``audit`` part on seed 1: its
+instances, outcomes and satisfaction functions as ``workloads._audit``
+builds them. For each of its jobs, in each round, both codes parse the
+instance afresh (the ``parse`` row), since an instance memoises its demand
+sets, and then build the satisfaction function with their own
+``cli._build_sat`` and run ``audit_all`` over all eight axioms (the
+``audit`` row), alternating as above. The two reports must give equal
+``cli._violation_json`` payloads and guard errors, or the script stops with
+"audit reports differ".
 
 Example:
     python scripts/ab_rules.py ../pbprop-parent
@@ -97,6 +107,69 @@ def same_instance(a, b) -> bool:
             and all(list(a.approvers(p)) == list(b.approvers(p)) for p in a.projects))
 
 
+def audits() -> list[tuple[str, str, frozenset[str]]]:
+    """The ``audit`` part's jobs as (instance JSON, satisfaction selector,
+    outcome); call after ``texts``, which puts ``perfbench/`` on the path."""
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs, _ = workloads._audit("audit", SEED, Path(tmp), workloads.GRIDS["audit"])
+        return [(Path(path).read_text(), sat, frozenset(ids.split(",")) - {"-"})  # "-": none
+                for _, _, sat, path, ids in (job.argv for job in jobs)]
+
+
+def auditor(pkg):
+    """The code's audit of one job as ``pb audit`` runs it, and the stdout
+    payload of a report's verdicts and guard errors."""
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    axioms = importlib.import_module(f"{pkg.__name__}.axioms")
+
+    def audit(inst, sat: str, outcome):
+        return axioms.audit_all(inst, cli._build_sat(sat, inst), outcome)
+
+    def payload(report) -> tuple:
+        return ({name: "pass" if v is None else cli._violation_json(v)
+                 for name, v in report.results.items()}, report.guard_errors)
+
+    return audit, payload
+
+
+def summary(workload: str, rows: tuple[str, ...], seconds: dict) -> None:
+    """Print each row's median round in both codes, then ``all``."""
+    for rule in rows + ("all",):
+        rounds = (seconds[rule] if rule != "all" else
+                  [[sum(seconds[q][r][s] for q in rows) for s in (0, 1)]
+                   for r in range(ROUNDS)])
+        this, that = (statistics.median(t[s] for t in rounds) for s in (0, 1))
+        wins = sum(t[0] < t[1] for t in rounds)
+        print(f"{workload:9} {rule:8} other {that:.4f} s  this {this:.4f} s  "
+              f"({this / that - 1:+.1%}), this faster in {wins}/{ROUNDS} rounds")
+
+
+def time_audits(codes) -> None:
+    """The ``audit`` block: parse, then build the function and audit, per job."""
+    audit, payload = zip(*(auditor(pkg) for pkg in codes))
+    jobs = audits()
+    rows = ("parse", "audit")
+    seconds = {row: [[0.0, 0.0] for _ in range(ROUNDS)] for row in rows}
+    for r in range(ROUNDS):
+        for k, (text, sat, outcome) in enumerate(jobs):
+            order = (0, 1) if (r + k) % 2 == 0 else (1, 0)
+            parsed, reports = [None, None], [None, None]
+            for side in order:
+                parse = parse_in(codes[side], "json")
+                start = perf_counter()
+                parsed[side] = parse(text)
+                seconds["parse"][r][side] += perf_counter() - start
+            for side in order:
+                start = perf_counter()
+                reports[side] = audit[side](parsed[side], sat, outcome)
+                seconds["audit"][r][side] += perf_counter() - start
+            if payload[0](reports[0]) != payload[1](reports[1]):
+                raise SystemExit(f"audit job {k} ({sat}): audit reports differ")
+    summary("audit", rows, seconds)
+
+
 def writer(pkg):
     """The code's stdout payload of a trace, and its JSON writer."""
     cli = importlib.import_module(f"{pkg.__name__}.cli")
@@ -156,14 +229,8 @@ def main(argv=None) -> int:
                         seconds["write"][r][side] += perf_counter() - start
                     if written[0] != written[1]:
                         raise SystemExit(f"{workload} instance {k} {rule}: written traces differ")
-        for rule in rows + ("all",):
-            rounds = (seconds[rule] if rule != "all" else
-                      [[sum(seconds[q][r][s] for q in rows) for s in (0, 1)]
-                       for r in range(ROUNDS)])
-            this, that = (statistics.median(t[s] for t in rounds) for s in (0, 1))
-            wins = sum(t[0] < t[1] for t in rounds)
-            print(f"{workload:9} {rule:8} other {that:.4f} s  this {this:.4f} s  "
-                  f"({this / that - 1:+.1%}), this faster in {wins}/{ROUNDS} rounds")
+        summary(workload, rows, seconds)
+    time_audits(codes)
     return 0
 
 

@@ -19,7 +19,6 @@ axiom here can fail on T (the README's Guards section says why).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -59,7 +58,8 @@ def is_cohesive(inst: Instance, t: Iterable[str], group: Iterable[int]) -> bool:
         return False
     if any(not t <= inst.approval(i) for i in group):
         return False
-    return inst.total_cost(t) * inst.n <= len(group) * inst.budget
+    cost = sum(inst.cost_units[p] for p in t)  # T lies in a ballot, so its ids are known
+    return cost * inst.n <= len(group) * inst.budget_units
 
 
 def _guard(inst: Instance, max_m: int, max_n: int) -> None:
@@ -101,25 +101,26 @@ class Demand:
 
 def demand_sets(inst: Instance) -> tuple[Demand, ...]:
     """Every T with |N_T|·b >= n·c(T), ordered by (|T|, sorted ids) so that
-    reported witnesses are deterministic. Memoised on the instance."""
+    reported witnesses are deterministic. Memoised on the instance. The
+    search carries c(T) as an int over ``inst.unit``."""
     if inst._demands is None:
         projects = sorted(inst.projects)
-        per_cost = inst.n / inst.budget  # group size needed per unit of cost
+        n, budget, unit, costs = inst.n, inst.budget_units, inst.unit, inst.cost_units
         found: list[Demand] = []
 
-        def extend(start: int, ids: tuple[str, ...], cost: Fraction, types) -> None:
+        def extend(start: int, ids: tuple[str, ...], cost: int, types) -> None:
             for j, p in enumerate(projects[start:], start):
                 t_ids = ids + (p,)
-                t_cost = cost + inst.costs[p]
+                t_cost = cost + costs[p]
                 t_types = tuple([bt for bt in types if p in bt[0]])
-                need = t_cost * per_cost
-                if sum([len(h) for _, h in t_types]) < need:
+                if sum([len(h) for _, h in t_types]) * budget < n * t_cost:
                     continue  # no superset is affordable either
-                found.append(Demand(frozenset(t_ids), t_cost, t_types, math.ceil(need)))
+                found.append(Demand(frozenset(t_ids), Fraction(t_cost, unit), t_types,
+                                    -(-n * t_cost // budget)))
                 extend(j + 1, t_ids, t_cost, t_types)
 
         types = tuple((b, tuple(h)) for b, h in inst.ballot_types().items())
-        extend(0, (), Fraction(0), types)
+        extend(0, (), 0, types)
         found.sort(key=lambda d: (len(d.t), sorted(d.t)))
         object.__setattr__(inst, "_demands", tuple(found))
     return inst._demands

@@ -13,6 +13,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 
 Money = Fraction
 
@@ -168,6 +169,9 @@ class Instance:
     Voters with the same ballot form a ballot type (see ``ballot_types``);
     rules, audits and price verification work per type where they can.
     Each project's approver set is built on the first ``approvers`` call.
+    Money is also held as ints: ``unit`` is the lcm of the budget's and the
+    costs' denominators, and ``cost_units`` and ``budget_units`` are the
+    costs and the budget times ``unit``.
     """
 
     n: int
@@ -184,6 +188,9 @@ class Instance:
     _demands: tuple | None = field(  # memo of axioms.demand_sets
         init=False, repr=False, compare=False, default=None
     )
+    unit: int = field(init=False, repr=False, compare=False, default=1)
+    cost_units: Mapping[str, int] = field(init=False, repr=False, compare=False, default=None)
+    budget_units: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -194,10 +201,10 @@ class Instance:
             raise InstanceError("project ids must be unique")
         if set(self.costs) != set(self.projects):
             raise InstanceError("costs must cover exactly the project list")
-        for p, c in self.costs.items():
-            if not isinstance(c, Fraction) or c <= 0:
+        for p, c in self.costs.items():  # a Fraction has the sign of its numerator
+            if not isinstance(c, Fraction) or c.numerator <= 0:
                 raise InstanceError(f"cost of {p!r} must be a positive rational")
-        if not isinstance(self.budget, Fraction) or self.budget <= 0:
+        if not isinstance(self.budget, Fraction) or self.budget.numerator <= 0:
             raise InstanceError("budget must be a positive rational")
         if len(self.approvals) != self.n:
             raise InstanceError("need one approval set per voter")
@@ -209,6 +216,12 @@ class Instance:
                 if unknown := sorted(ballot.difference(self.costs)):
                     raise InstanceError(f"voter {holders[0]} approves unknown projects {unknown}")
         object.__setattr__(self, "_types", types)
+        costs, b = self.costs, self.budget
+        unit = lcm(b.denominator, *{c.denominator for c in costs.values()})
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "cost_units", {
+            p: c.numerator * (unit // c.denominator) for p, c in costs.items()})
+        object.__setattr__(self, "budget_units", b.numerator * (unit // b.denominator))
 
     @classmethod
     def create(
@@ -248,14 +261,15 @@ class Instance:
     def total_cost(self, s: Iterable[str]) -> Fraction:
         s = set(s)
         self._check_known(s)
-        return sum((self.costs[p] for p in s), Fraction(0))
+        return Fraction(sum([self.cost_units[p] for p in s]), self.unit)
 
-    def _spent(self, outcome: Iterable[str]) -> tuple[frozenset[str], Fraction]:
-        """The outcome as a set and its cost, refused unless its ids are
-        known and it fits the budget."""
+    def _spent(self, outcome: Iterable[str]) -> tuple[frozenset[str], int]:
+        """The outcome as a set and its cost in units, refused unless its ids
+        are known and it fits the budget."""
         w = frozenset(outcome)
-        cost = self.total_cost(w)
-        if cost > self.budget:
+        self._check_known(w)
+        cost = sum([self.cost_units[p] for p in w])
+        if cost > self.budget_units:
             raise InstanceError("outcome exceeds the budget")
         return w, cost
 
@@ -264,8 +278,8 @@ class Instance:
 
     def is_exhaustive(self, outcome: Iterable[str]) -> bool:
         w, cost = self._spent(outcome)
-        residual = self.budget - cost
-        return all(self.costs[p] > residual for p in self.projects if p not in w)
+        residual = self.budget_units - cost
+        return all(self.cost_units[p] > residual for p in self.projects if p not in w)
 
     def approvers(self, p: str) -> frozenset[int]:
         self._check_known([p])

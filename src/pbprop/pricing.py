@@ -110,20 +110,19 @@ class PriceReport:
         return all(self.verdicts[c][0] for c in needed)
 
 
-def _listed(inst: Instance, classes) -> set[int]:
-    """The voters the classes list; a voter outside 1..n or listed twice is
-    an ``InstanceError``."""
+def _listed(inst: Instance, classes) -> tuple[set[int], int | None]:
+    """The voters the classes list and the lowest of them outside 1..n, or
+    None; a voter listed twice is an ``InstanceError``."""
     voters = set().union(*(holders for holders, _ in classes))
-    for i in (min(voters, default=1), max(voters, default=1)):
-        if not 1 <= i <= inst.n:
-            raise InstanceError(f"payment from unknown voter {i}")
     if len(voters) < sum(len(holders) for holders, _ in classes):
         seen: set[int] = set()
         for i in (i for holders, _ in classes for i in holders):
             if i in seen:
                 raise InstanceError(f"voter {i} is listed twice")
             seen.add(i)
-    return voters
+    if 1 <= min(voters, default=1) and max(voters, default=1) <= inst.n:
+        return voters, None
+    return voters, min(i for i in voters if not 1 <= i <= inst.n)
 
 
 def _ballots(inst: Instance, holders: list[int]):
@@ -156,20 +155,27 @@ def verify_price_system(
     empty row. Each check keeps its first failure, C1 and C2 at each row
     entry and C3 once the row is summed, so verdicts, first witnesses and
     the order in which conditions first fail are those of a voter-by-voter
-    check. The sums run on ints: money is counted in units of 1/den, with
-    den the lcm of the denominators of B/n, every cost and every amount."""
+    check. A voter outside 1..n is a unit that raises when the scan reaches
+    it. The sums run on ints: money is counted in units of 1/den, with den
+    the lcm of the denominators of B/n, every amount and ``inst.unit``."""
     w = inst.check_outcome(outcome)
     classes = [(holders, row) for holders, row in ps.classes if holders]
-    listed = _listed(inst, classes)
+    listed, unknown = _listed(inst, classes)
+    if unknown is not None:  # units hold the voters in 1..n
+        classes = [(h, row) for holders, row in classes
+                   if (h := [i for i in holders if 1 <= i <= inst.n])]
     share = Fraction(ps.budget) / inst.n
-    den = lcm(share.denominator, *(c.denominator for c in inst.costs.values()),
+    den = lcm(share.denominator, inst.unit,
               *{a.denominator for _, row in classes for a in row.values()})
-    cost = {p: c.numerator * (den // c.denominator) for p, c in inst.costs.items()}
+    grow = den // inst.unit
+    cost = {p: c * grow for p, c in inst.cost_units.items()}
     quota = share.numerator * (den // share.denominator)  # B/n
     units = []  # (lowest voter, ballot, holder count, row scaled to ints)
     for holders, row in classes:
         scaled = [(p, a.numerator * (den // a.denominator)) for p, a in row.items()]
         units += [(low, ballot, k, scaled) for ballot, k, low in _ballots(inst, holders)]
+    if unknown is not None:
+        units.append((unknown, None, 0, []))
     if quota < 0 and len(listed) < inst.n:  # an unlisted voter spends 0 > B/n
         i = next(i for i in inst.voters if i not in listed)
         units.append((i, inst.approvals[i - 1], 1, []))
@@ -179,6 +185,8 @@ def verify_price_system(
     spends: dict[str, int] = {}  # unchosen project -> what its approvers spend
     towards: dict[str, dict[str, int]] = {}  # unchosen pj -> chosen pk -> paid by N_j
     for low, ballot, k, row in units:
+        if ballot is None:
+            raise InstanceError(f"payment from unknown voter {low}")
         spent = 0
         for p, a in row:
             if p not in cost:

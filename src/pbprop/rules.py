@@ -217,12 +217,12 @@ def _select(
     whose value changed to ``stale``."""
     heap = [_Key(value, p) for p in pool if (value := evaluate(p)) is not None]
     heapq.heapify(heap)
-    left = inst.budget
+    cost, left = inst.cost_units, inst.budget_units
     while True:
         best, tied = _pop_ties(heap, stale, evaluate)
         if not tied:
             return
-        over = sorted(p for p in tied if inst.costs[p] > left)
+        over = sorted(p for p in tied if cost[p] > left)
         if over and not skip_blocked:
             trace.blocking = (_pick(over, tie), best)
             return
@@ -234,7 +234,7 @@ def _select(
         for q in tied:
             if q != p:
                 heapq.heappush(heap, _Key(best, q))
-        left -= inst.costs[p]
+        left -= cost[p]
         trace.selections.append((len(trace.selections) + 1, p, best))
         yield p, best
 
@@ -277,9 +277,10 @@ def run_mes(
         classes.move(p, {s: s * price.denominator - a for s, a in charged.items()}, scale)
     outcome = frozenset(p for _, p, _ in trace.selections)
     unselected = [p for p in inst.projects if p not in outcome]
-    if unselected:
-        trace.delta = min(inst.costs[p] - Fraction(classes.held(p), classes.den)
-                          for p in unselected)
+    if unselected:  # min c(p) - held(p), over the common denominator unit * den
+        unit, den = inst.unit, classes.den
+        trace.delta = Fraction(min(inst.cost_units[p] * den - classes.held(p) * unit
+                                   for p in unselected), unit * den)
     trace.exhaustive = inst.is_exhaustive(outcome)
     return outcome, trace
 
@@ -347,7 +348,8 @@ def _load_flow(
     the first such node and its first such p in w order, so those paths are
     filled first, in that order."""
     scale = lcm(unit, lam.denominator)
-    k, total, cap = scale // unit, sum(cost.values()), lam.numerator * (scale // lam.denominator)
+    k, total = scale // unit, sum([cost[p] for p in w])
+    cap = lam.numerator * (scale // lam.denominator)
     net = FlowNetwork(len(weights) + len(w) + 2)
     for j, weight in enumerate(weights):
         net.add_edge(0, j + 1, weight * cap)
@@ -360,11 +362,6 @@ def _load_flow(
             paths[j].append((2 * j, arc, out))
     net.paths = [path for by_node in paths for path in by_node]
     return net, arcs, net.max_flow(0, net.n - 1) == total * k, scale
-
-
-def _scaled_costs(inst: Instance, w: list[str]) -> tuple[int, dict[str, int]]:
-    unit = lcm(*(inst.costs[p].denominator for p in w))
-    return unit, {p: inst.costs[p].numerator * (unit // inst.costs[p].denominator) for p in w}
 
 
 def _max_ratio(inst: Instance, w: list[str], start=(Fraction(0), frozenset()),
@@ -387,7 +384,7 @@ def _max_ratio(inst: Instance, w: list[str], start=(Fraction(0), frozenset()),
             members[p].append(j)
     if missing := [p for p in w if not members[p]]:
         raise InstanceError(f"project {missing[0]!r} in the outcome has no approvers")
-    unit, cost = _scaled_costs(inst, w)
+    unit, cost = inst.unit, inst.cost_units
     size = {p: sum(weights[j] for j in members[p]) for p in w}  # |N(p)|
 
     def ratio(s: frozenset[str]) -> tuple[int, int]:  # c(S)/|N(S)| as ints
@@ -442,7 +439,7 @@ def balance_loads(
     supporters = {p: inst.approvers(p) for p in w}
     index = {i: j for j, i in enumerate(sorted(set().union(*supporters.values())))}
     net, arcs, feasible, scale = _load_flow(
-        lam, w, *_scaled_costs(inst, w), [1] * len(index),
+        lam, w, inst.unit, inst.cost_units, [1] * len(index),
         {p: [index[i] for i in sup] for p, sup in supporters.items()})
     if not feasible:
         raise InvariantError("balanced loads do not carry the costs")

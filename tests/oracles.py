@@ -15,12 +15,17 @@ from pbprop.rules import LoadAssignment, RuleTrace
 from pbprop.satisfaction import voter_satisfaction
 
 
+def cost_of(inst, s):
+    """c(s) as a plain sum of the instance's ``Fraction`` costs."""
+    return sum((inst.costs[p] for p in s), Fraction(0))
+
+
 def all_demand_sets(inst):
     projects = sorted(inst.projects)
     for r in range(1, inst.m + 1):
         for combo in itertools.combinations(projects, r):
             t = frozenset(combo)
-            if inst.total_cost(t) <= inst.budget:
+            if cost_of(inst, t) <= inst.budget:
                 yield t
 
 
@@ -89,7 +94,7 @@ def naive_local_bpjr_passes(inst, mu, w):
             share = w & frozenset.union(*ballots)
             affordable = [frozenset(s) for r in range(len(inter) + 1)
                           for s in itertools.combinations(sorted(inter), r)
-                          if inst.total_cost(s) <= inst.total_cost(t)]
+                          if cost_of(inst, s) <= cost_of(inst, t)]
             best = max(mu.value(s) for s in affordable)
             if any(share < s for s in affordable if mu.value(s) == best):
                 return False

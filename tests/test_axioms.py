@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -6,10 +7,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance, random_outcome
 from oracles import (
     all_demand_sets,
+    cost_of,
     naive_ejr_passes,
     naive_local_bpjr_passes,
     naive_pjr_passes,
@@ -184,18 +188,81 @@ def test_demand_sets_match_oracle(tiny_instances, small_instances):
             for t in all_demand_sets(inst)
             if len(frozenset.intersection(*(inst.approvers(p) for p in t)))
             * inst.budget
-            >= inst.n * inst.total_cost(t)
+            >= inst.n * cost_of(inst, t)
         ]
         demands = demand_sets(inst)
         assert [d.t for d in demands] == expected
         for d in demands:
             approvers = [i for i in inst.voters if d.t <= inst.approval(i)]
             assert sorted(i for _, holders in d.types for i in holders) == approvers
-            assert d.cost == inst.total_cost(d.t)
+            assert d.cost == cost_of(inst, d.t)
             # min_size is the smallest group whose budget share covers c(T)
             assert d.min_size * inst.budget >= inst.n * d.cost
             assert (d.min_size - 1) * inst.budget < inst.n * d.cost
         assert demand_sets(inst) is demands  # memoised on the instance
+
+
+# Large coprime denominators, so that a money scale missing one of them, or
+# an int comparison that drifts from the Fraction one, shows.
+DENOMINATORS = (1, 7, 9973, 2**61 - 1)
+
+
+@st.composite
+def money_instances(draw):
+    """An instance with costs over products of DENOMINATORS, whose budget is
+    a random amount, the cost of a project set W, W's cost less one money
+    unit (1/(e·L), e in DENOMINATORS and L the lcm of the cost
+    denominators), or n·c(T)/|N_T| for a demanded set T, so that W fits
+    exactly, W misses by one unit, or T is affordable with equality."""
+    def amount():
+        den = draw(st.sampled_from(DENOMINATORS)) * draw(st.sampled_from(DENOMINATORS))
+        return Fraction(draw(st.integers(1, 4 * den)), den)
+
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    projects = [f"p{j}" for j in range(1, m + 1)]
+    costs = {p: amount() for p in projects}
+    ballots = [draw(st.sets(st.sampled_from(projects), min_size=1)) for _ in range(n)]
+    w = draw(st.sets(st.sampled_from(projects), min_size=1))
+    t = draw(st.sets(st.sampled_from(projects), min_size=1))
+    spent = sum(costs[p] for p in w)
+    e = draw(st.sampled_from(DENOMINATORS[1:]))
+    scale = math.lcm(*(c.denominator for c in costs.values()))
+    budgets = [amount(), spent, spent - Fraction(1, e * scale)]
+    if holders := sum(t <= ballot for ballot in ballots):
+        budgets.append(n * sum(costs[p] for p in t) / holders)
+    return Instance.create(costs, ballots, draw(st.sampled_from(budgets)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(money_instances())
+def test_money_scale_matches_fraction_sums(inst):
+    subsets = [frozenset(s) for r in range(inst.m + 1)
+               for s in itertools.combinations(sorted(inst.projects), r)]
+    for s in subsets:
+        cost = cost_of(inst, s)
+        assert inst.total_cost(s) == cost
+        if cost > inst.budget:
+            with pytest.raises(InstanceError, match="^outcome exceeds the budget$"):
+                inst.check_outcome(s)
+            with pytest.raises(InstanceError, match="^outcome exceeds the budget$"):
+                inst.is_exhaustive(s)
+        else:
+            assert inst.check_outcome(s) == s
+            assert inst.is_exhaustive(s) == all(
+                inst.costs[p] > inst.budget - cost for p in inst.projects if p not in s)
+        if s:
+            holders = [i for i in inst.voters if s <= inst.approval(i)]
+            for group in (holders, holders[:1], list(inst.voters)):
+                assert is_cohesive(inst, s, group) == (
+                    bool(group) and set(group) <= set(holders)
+                    and len(group) * inst.budget >= inst.n * cost)
+    expected = [s for s in subsets if s and sum(s <= ballot for ballot in inst.approvals)
+                * inst.budget >= inst.n * cost_of(inst, s)]
+    demands = demand_sets(inst)
+    assert [d.t for d in demands] == expected
+    for d in demands:
+        assert d.cost == cost_of(inst, d.t)
+        assert d.min_size == math.ceil(inst.n * d.cost / inst.budget)
 
 
 def test_group_signatures_cover_all_voter_subsets(tiny_instances):

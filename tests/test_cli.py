@@ -677,7 +677,8 @@ def test_ab_rules_times_every_rule_against_itself():
                     [("uniform", ("mes-card", "mes-cost", "phragmen")),
                      ("clustered", ("mes-card", "mes-cost", "phragmen")),
                      ("price", ("maximin",))]
-                    for rule in ("parse",) + rules + ("write", "all")]
+                    for rule in ("parse",) + rules + ("write", "all")] + [
+                        ["audit", rule] for rule in ("parse", "audit", "all")]
 
 
 def test_baseline_rows_writes_bench_json(tmp_path):

@@ -102,6 +102,20 @@ def test_verify_rejects_malformed():
         assert str(want.value) == "negative payment by voter 2 on 'a'"
         with pytest.raises(InstanceError, match=f"^{want.value}$"):
             verify_price_system(five, {"a"}, ps)
+    # a voter outside 1..n is named only once every lower voter's row is checked
+    two = Instance.create({"a": 1, "b": 1}, [{"a"}, {"b"}], 2)
+    for classes, message in [
+        ([([1], {"a": -1}), ([3], {})], "negative payment by voter 1 on 'a'"),
+        ([([1, 3], {"a": 1}), ([2], {"b": -1})], "negative payment by voter 2 on 'b'"),
+        ([([1], {"a": -1}), ([0, 2], {})], "payment from unknown voter 0"),
+    ]:
+        ps = PriceSystem(Fraction(2), [(h, {p: Fraction(a) for p, a in row.items()})
+                                       for h, row in classes])
+        with pytest.raises(InstanceError) as want:
+            reference_verify_price_system(two, ["a"], ps)
+        assert str(want.value) == message
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            verify_price_system(two, ["a"], ps)
 
 
 def test_verify_refuses_an_outcome_over_the_budget():
