@@ -80,8 +80,8 @@ def _guard(inst: Instance, max_m: int, max_n: int) -> None:
 
 # A distinct ballot and its holders, in ascending order
 BallotType = tuple[frozenset[str], Sequence[int]]
-# (group, intersection of its ballots, union of its ballots)
-Signature = tuple[frozenset[int], frozenset[str], frozenset[str]]
+# (a group's ballot types, intersection of its ballots, union of its ballots)
+Signature = tuple[tuple[BallotType, ...], frozenset[str], frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -242,10 +242,10 @@ def check_ejrx(
 
 
 def _group_signatures(types: Iterable[BallotType], min_size: int) -> Iterator[Signature]:
-    """Yield (group, intersection, union) for each achievable ballot
+    """Yield (types, intersection, union) for each achievable ballot
     signature among sets of the given ballot types, as (ballot, holders)
     pairs, whose holders number at least min_size; deduplicated,
-    deterministic order. Each group holds every holder of its types."""
+    deterministic order. A signature's group is every holder of its types."""
     types = sorted(types, key=lambda bt: sorted(bt[0]))
     seen = set()
     for r in range(1, len(types) + 1):
@@ -257,7 +257,7 @@ def _group_signatures(types: Iterable[BallotType], min_size: int) -> Iterator[Si
             if (inter, union) in seen:
                 continue
             seen.add((inter, union))
-            yield frozenset(i for _, holders in combo for i in holders), inter, union
+            yield combo, inter, union
 
 
 def _pjr_family(
@@ -275,9 +275,10 @@ def _pjr_family(
     for d in demand_sets(inst):
         if d.t <= w:
             continue
-        for group, inter, union in d.signatures:
+        for types, inter, union in d.signatures:
             failed = unmet(d, w, inter, w & union)
             if failed is not None:
+                group = frozenset(i for _, holders in types for i in holders)
                 return Violation(axiom, CohesiveWitness(d.t, group), *failed)
     return None
 

@@ -64,13 +64,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_instance(path: str) -> Instance:
+    """JSON by a ``.json`` name, or by a leading ``{`` under any name but ``.pb``."""
     text = Path(path).read_text(encoding="utf-8-sig")
-    if path.endswith(".pb"):
-        return parse_pabulib(text)
-    if path.endswith(".json"):
-        return parse_json(text)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if path.endswith(".json") or not path.endswith(".pb") and text.lstrip().startswith("{"):
         return parse_json(text)
     return parse_pabulib(text)
 
@@ -280,56 +276,51 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _report_json(report: pricing.PriceReport) -> dict:
-    return {
-        "conditions": {
-            name: {"pass": ok, "witness": witness and [str(x) for x in witness]}
-            for name, (ok, witness) in sorted(report.verdicts.items())
-        },
-        "b_strict": report.b_strict,
+def _emit_verdict(args, report: pricing.PriceReport, payload: dict) -> bool:
+    """Write ``payload`` followed by the report's verdict under the requested
+    conditions, each condition's result and ``b_strict``; True on a pass."""
+    ok = report.ok(require_c6=args.c6, require_b_strict=args.strict_b)
+    payload["verdict"] = "pass" if ok else "fail"
+    payload["conditions"] = {
+        name: {"pass": passed, "witness": witness and [str(x) for x in witness]}
+        for name, (passed, witness) in sorted(report.verdicts.items())
     }
+    payload["b_strict"] = report.b_strict
+    _emit(payload)
+    return ok
 
 
 def _cmd_price(args) -> int:
     from . import pricing
 
     inst = _load_instance(args.instance)
+    if args.price_command == "find":
+        outcome = _load_outcome(args.outcome, inst)
+        ps = pricing.find_price_system(
+            inst, outcome, require_c6=args.c6, require_b_strict=args.strict_b
+        )
+        if ps is None:
+            _emit({"found": False})
+            print("no price system exists under the requested conditions",
+                  file=sys.stderr)
+            return EXIT_VIOLATION
+        _emit({"found": True, "system": ps.to_dict()})
+        print(f"found price system with B={money_str(ps.budget)}", file=sys.stderr)
+        return EXIT_OK
     if args.price_command == "verify":
         outcome = _load_outcome(args.outcome, inst)
         ps = pricing.PriceSystem.from_json(Path(args.system).read_text(encoding="utf-8-sig"))
-        report = pricing.verify_price_system(inst, outcome, ps)
-        ok = report.ok(require_c6=args.c6, require_b_strict=args.strict_b)
-        _emit({"verdict": "pass" if ok else "fail", **_report_json(report)})
+        ok = _emit_verdict(args, pricing.verify_price_system(inst, outcome, ps), {})
         print(f"price system {'passes' if ok else 'fails'}", file=sys.stderr)
-        return EXIT_OK if ok else EXIT_VIOLATION
-    if args.price_command == "extract":
+    else:  # extract
         mu = _build_sat(args.sat, inst)
         outcome, trace = _run_rule(args.rule, inst, mu)
         ps = getattr(pricing, f"extract_from_{args.rule}_trace")(inst, trace)
-        report = pricing.verify_price_system(inst, outcome, ps)
-        ok = report.ok(require_c6=args.c6, require_b_strict=args.strict_b)
-        _emit({
-            "outcome": sorted(outcome),
-            "system": ps.to_dict(),
-            "verdict": "pass" if ok else "fail",
-            **_report_json(report),
-        })
+        ok = _emit_verdict(args, pricing.verify_price_system(inst, outcome, ps),
+                           {"outcome": sorted(outcome), "system": ps.to_dict()})
         print(f"extracted B={money_str(ps.budget)}; "
               f"verification {'passes' if ok else 'fails'}", file=sys.stderr)
-        return EXIT_OK if ok else EXIT_VIOLATION
-    # find
-    outcome = _load_outcome(args.outcome, inst)
-    ps = pricing.find_price_system(
-        inst, outcome, require_c6=args.c6, require_b_strict=args.strict_b
-    )
-    if ps is None:
-        _emit({"found": False})
-        print("no price system exists under the requested conditions",
-              file=sys.stderr)
-        return EXIT_VIOLATION
-    _emit({"found": True, "system": ps.to_dict()})
-    print(f"found price system with B={money_str(ps.budget)}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _cmd_gen(args) -> int:
@@ -379,19 +370,15 @@ def _cmd_repro(args) -> int:
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
+_VERBS = {"run": _cmd_run, "audit": _cmd_audit, "price": _cmd_price, "gen": _cmd_gen,
+          "repro": _cmd_repro}
+
+
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "price":
-            return _cmd_price(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        return _cmd_repro(args)
+        return _VERBS[args.command](args)
     except GuardExceededError as exc:
         print(f"pb: guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD

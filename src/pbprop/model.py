@@ -532,36 +532,41 @@ class GenParams:
     denominator: int = 4
 
 
-def _rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction, den: int) -> Fraction:
+def _grid_range(name: str, lo: Fraction, hi: Fraction, den: int) -> tuple[int, int]:
+    """The least and greatest k with lo <= k/den <= hi, for a positive lo."""
+    if lo <= 0:
+        raise InstanceError(f"{name}_min must be positive")
     lo_k = -(-lo.numerator * den // lo.denominator)  # ceil(lo*den)
     hi_k = hi.numerator * den // hi.denominator  # floor(hi*den)
     if hi_k < lo_k:
-        raise InstanceError(f"empty range [{lo}, {hi}] at denominator {den}")
-    return Fraction(rng.randint(lo_k, hi_k), den)
+        raise InstanceError(f"{name} range [{lo}, {hi}] holds no multiple of 1/{den}")
+    return lo_k, hi_k
 
 
 def generate_random(params: GenParams, seed: int) -> Instance:
     """Deterministically generate a valid random instance for a seed.
 
     Every voter approves at least one project (ballots are redrawn
-    otherwise); all Instance invariants hold by construction.
+    otherwise); all Instance invariants hold by construction. Each range
+    drawn from must start above 0 and hold a multiple of 1/denominator.
     """
     if params.n < 1 or params.m < 1 or params.denominator < 1:
         raise InstanceError("n, m and denominator must be at least 1")
     if not params.density > 0:  # else ballots are redrawn forever
         raise InstanceError(f"density must be positive, got {params.density}")
-    rng = random.Random(seed)
-    projects = tuple(f"p{j}" for j in range(1, params.m + 1))
-    if params.unit_cost:
-        costs = {p: Fraction(1) for p in projects}
-    else:
-        costs = {
-            p: _rand_fraction(rng, params.cost_min, params.cost_max, params.denominator)
-            for p in projects
-        }
+    den = params.denominator
+    cost_k = None if params.unit_cost else _grid_range(
+        "cost", params.cost_min, params.cost_max, den)
     lo = params.budget_min if params.budget_min is not None else Fraction(params.m, 2)
     hi = params.budget_max if params.budget_max is not None else Fraction(2 * params.m)
-    budget = _rand_fraction(rng, lo, hi, params.denominator)
+    budget_k = _grid_range("budget", lo, hi, den)
+    rng = random.Random(seed)
+    projects = tuple(f"p{j}" for j in range(1, params.m + 1))
+    if cost_k is None:
+        costs = {p: Fraction(1) for p in projects}
+    else:
+        costs = {p: Fraction(rng.randint(*cost_k), den) for p in projects}
+    budget = Fraction(rng.randint(*budget_k), den)
     approvals = []
     for _ in range(params.n):
         while True:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .axioms import (
     check_ejr,
@@ -131,8 +131,8 @@ class CaseResult:
         return all(c.ok for c in self.checks)
 
 
-def _check(checks: list[CheckResult], label: str, tag: str, ok: bool, observed) -> None:
-    checks.append(CheckResult(label=label, tag=tag, ok=bool(ok), observed=str(observed)))
+def _check(label: str, tag: str, ok: bool, observed) -> CheckResult:
+    return CheckResult(label=label, tag=tag, ok=bool(ok), observed=str(observed))
 
 
 def _feasible_outcomes(inst: Instance) -> Iterable[frozenset[str]]:
@@ -147,144 +147,128 @@ def _feasible_outcomes(inst: Instance) -> Iterable[frozenset[str]]:
 # Cases
 
 
-def _case_best_outcome() -> list[CheckResult]:
+def _case_best_outcome() -> Iterator[CheckResult]:
     inst = best_outcome_example()
-    checks: list[CheckResult] = []
     for mu, expect_w, expect_val, tag in (
         (cost_sat(inst), {"p1"}, Fraction(5), "PAPER"),
         (cardinality_sat(inst), {"p2", "p3", "p4", "p5"}, Fraction(4), "PAPER"),
     ):
         best = max(_feasible_outcomes(inst), key=lambda w: (mu.value(w), sorted(w)))
-        _check(
-            checks,
+        yield _check(
             f"unique best outcome under {mu.kind} is {sorted(expect_w)}",
             tag,
             best == frozenset(expect_w) and mu.value(best) == expect_val,
             f"{sorted(best)} value {mu.value(best)}",
         )
-    return checks
 
 
-def _case_ejrx_separation() -> list[CheckResult]:
+def _case_ejrx_separation() -> Iterator[CheckResult]:
     inst, mu = table_mu_example()
-    checks: list[CheckResult] = []
-    _check(checks, "{p1,p5} satisfies exact representation", "PAPER",
-           check_ejr(inst, mu, {"p1", "p5"}) is None, "no violation")
+    yield _check("{p1,p5} satisfies exact representation", "PAPER",
+                 check_ejr(inst, mu, {"p1", "p5"}) is None, "no violation")
     rescue = mu.value({"p2", "p3", "p5"})
-    _check(checks, "{p2,p3} passes up-to-one via p5 (value 4.2)", "PAPER",
-           check_ejr1(inst, mu, {"p2", "p3"}) is None and rescue == Fraction(21, 5),
-           f"rescue value {rescue}")
+    yield _check("{p2,p3} passes up-to-one via p5 (value 4.2)", "PAPER",
+                 check_ejr1(inst, mu, {"p2", "p3"}) is None and rescue == Fraction(21, 5),
+                 f"rescue value {rescue}")
     v = check_ejrx(inst, mu, {"p2", "p3"})
-    _check(checks, "{p2,p3} fails up-to-any (worst addition worth 0.3)", "PAPER",
-           v is not None and v.lhs == Fraction(3, 10),
-           "no violation" if v is None else f"lhs {v.lhs}")
-    _check(checks, "{p1,p4} passes up-to-one", "PAPER",
-           check_ejr1(inst, mu, {"p1", "p4"}) is None, "no violation")
-    _check(checks, "{p1,p4} fails up-to-any", "PAPER",
-           check_ejrx(inst, mu, {"p1", "p4"}) is not None, "violation found")
-    _check(checks, "the value table is not DNS", "DERIVED",
-           not is_dns(mu, inst), "DNS check false")
-    return checks
+    yield _check("{p2,p3} fails up-to-any (worst addition worth 0.3)", "PAPER",
+                 v is not None and v.lhs == Fraction(3, 10),
+                 "no violation" if v is None else f"lhs {v.lhs}")
+    yield _check("{p1,p4} passes up-to-one", "PAPER",
+                 check_ejr1(inst, mu, {"p1", "p4"}) is None, "no violation")
+    yield _check("{p1,p4} fails up-to-any", "PAPER",
+                 check_ejrx(inst, mu, {"p1", "p4"}) is not None, "violation found")
+    yield _check("the value table is not DNS", "DERIVED",
+                 not is_dns(mu, inst), "DNS check false")
 
 
-def _case_ejr1_incompatibility() -> list[CheckResult]:
+def _case_ejr1_incompatibility() -> Iterator[CheckResult]:
     inst = incompatibility_example()
     mu_c, mu_k = cost_sat(inst), cardinality_sat(inst)
-    checks: list[CheckResult] = []
     good = frozenset(f"p{j}" for j in range(3, 13))
-    _check(checks, "all-cheap outcome passes up-to-one under cardinality", "PAPER",
-           check_ejr1(inst, mu_k, good) is None, "no violation")
+    yield _check("all-cheap outcome passes up-to-one under cardinality", "PAPER",
+                 check_ejr1(inst, mu_k, good) is None, "no violation")
     v = check_ejr1(inst, mu_c, good)
-    _check(checks, "all-cheap outcome fails up-to-one under cost at {p1,p2}", "PAPER",
-           v is not None and v.witness.t == frozenset({"p1", "p2"}),
-           "no violation" if v is None else f"T={sorted(v.witness.t)}")
+    yield _check("all-cheap outcome fails up-to-one under cost at {p1,p2}", "PAPER",
+                 v is not None and v.witness.t == frozenset({"p1", "p2"}),
+                 "no violation" if v is None else f"T={sorted(v.witness.t)}")
     both = [
         w
         for w in _feasible_outcomes(inst)
         if check_ejr1(inst, mu_c, w) is None and check_ejr1(inst, mu_k, w) is None
     ]
-    _check(checks, "no feasible outcome passes up-to-one under both functions",
-           "PAPER", not both, f"{len(both)} outcomes pass both")
-    return checks
+    yield _check("no feasible outcome passes up-to-one under both functions",
+                 "PAPER", not both, f"{len(both)} outcomes pass both")
 
 
-def _case_priceable_not_pjrx() -> list[CheckResult]:
+def _case_priceable_not_pjrx() -> Iterator[CheckResult]:
     inst = priceable_not_pjrx_example()
-    checks: list[CheckResult] = []
     ps = PriceSystem(budget=Fraction(9, 2), classes=[([1, 2], {"p1": Fraction(2)})])
     report = verify_price_system(inst, {"p1"}, ps)
-    _check(checks, "B=4.5 system passes the five core conditions with B > b",
-           "PAPER", report.ok(require_b_strict=True), report.verdicts)
-    _check(checks, "B=4.5 system fails the cross-payment condition", "PAPER",
-           not report.verdicts["C6"][0], report.verdicts["C6"])
+    yield _check("B=4.5 system passes the five core conditions with B > b",
+                 "PAPER", report.ok(require_b_strict=True), report.verdicts)
+    yield _check("B=4.5 system fails the cross-payment condition", "PAPER",
+                 not report.verdicts["C6"][0], report.verdicts["C6"])
     found = find_price_system(inst, {"p1"}, require_c6=False, require_b_strict=True)
-    _check(checks, "search finds a system with B above the budget", "PAPER",
-           found is not None and found.budget > inst.budget,
-           "none" if found is None else f"B={found.budget}")
+    yield _check("search finds a system with B above the budget", "PAPER",
+                 found is not None and found.budget > inst.budget,
+                 "none" if found is None else f"B={found.budget}")
     v = check_pjrx(inst, cardinality_sat(inst), {"p1"})
-    _check(checks, "{p1} fails cardinality PJR up-to-any", "PAPER",
-           v is not None, "violation found" if v else "no violation")
-    return checks
+    yield _check("{p1} fails cardinality PJR up-to-any", "PAPER",
+                 v is not None, "violation found" if v else "no violation")
 
 
-def _case_mes_c6_failure() -> list[CheckResult]:
+def _case_mes_c6_failure() -> Iterator[CheckResult]:
     inst = shared_big_project_example()
-    checks: list[CheckResult] = []
     w_cost, tr_cost = run_mes(inst, cost_sat(inst))
-    _check(checks, "cost-MES selects the shared expensive project", "PAPER",
-           w_cost == frozenset({"p1"}), sorted(w_cost))
-    _check(checks, "no cross-payment-compliant system exists for {p1}", "PAPER",
-           find_price_system(inst, {"p1"}, require_c6=True) is None, "search empty")
+    yield _check("cost-MES selects the shared expensive project", "PAPER",
+                 w_cost == frozenset({"p1"}), sorted(w_cost))
+    yield _check("no cross-payment-compliant system exists for {p1}", "PAPER",
+                 find_price_system(inst, {"p1"}, require_c6=True) is None, "search empty")
     ps = extract_from_mes_trace(inst, tr_cost)
     rep = verify_price_system(inst, w_cost, ps)
-    _check(checks, "extracted cost-MES system passes the core conditions "
-                   "but fails the cross-payment one", "PAPER",
-           rep.ok(require_b_strict=True) and not rep.verdicts["C6"][0],
-           rep.verdicts)
+    yield _check("extracted cost-MES system passes the core conditions "
+                 "but fails the cross-payment one", "PAPER",
+                 rep.ok(require_b_strict=True) and not rep.verdicts["C6"][0],
+                 rep.verdicts)
     w_card, tr_card = run_mes(inst, cardinality_sat(inst))
     ps2 = extract_from_mes_trace(inst, tr_card)
     rep2 = verify_price_system(inst, w_card, ps2)
-    _check(checks, "cardinality-MES extraction passes all six with B > b",
-           "DERIVED",
-           w_card == frozenset({"p2", "p3"})
-           and rep2.ok(require_c6=True, require_b_strict=True),
-           f"W={sorted(w_card)} B={ps2.budget}")
-    return checks
+    yield _check("cardinality-MES extraction passes all six with B > b",
+                 "DERIVED",
+                 w_card == frozenset({"p2", "p3"})
+                 and rep2.ok(require_c6=True, require_b_strict=True),
+                 f"W={sorted(w_card)} B={ps2.budget}")
 
 
-def _case_localbpjr_vs_pjr() -> list[CheckResult]:
+def _case_localbpjr_vs_pjr() -> Iterator[CheckResult]:
     inst = unit_cost_separation_example()
     mu = cost_sat(inst)
-    checks: list[CheckResult] = []
     v = check_pjr(inst, mu, {"p3", "p4"})
-    _check(checks, "{p3,p4} fails PJR at T={p1,p2} with all three voters",
-           "PAPER",
-           v is not None
-           and v.witness.t == frozenset({"p1", "p2"})
-           and v.witness.group == frozenset({1, 2, 3}),
-           "no violation" if v is None else
-           f"T={sorted(v.witness.t)} group={sorted(v.witness.group)}")
-    _check(checks, "{p3,p4} passes the local best-affordable-set variant",
-           "PAPER", check_local_bpjr(inst, mu, {"p3", "p4"}) is None, "no violation")
-    return checks
+    yield _check("{p3,p4} fails PJR at T={p1,p2} with all three voters",
+                 "PAPER",
+                 v is not None
+                 and v.witness.t == frozenset({"p1", "p2"})
+                 and v.witness.group == frozenset({1, 2, 3}),
+                 "no violation" if v is None else
+                 f"T={sorted(v.witness.t)} group={sorted(v.witness.group)}")
+    yield _check("{p3,p4} passes the local best-affordable-set variant",
+                 "PAPER", check_local_bpjr(inst, mu, {"p3", "p4"}) is None, "no violation")
 
 
-def _case_localbpjr_vs_pjr1() -> list[CheckResult]:
+def _case_localbpjr_vs_pjr1() -> Iterator[CheckResult]:
     inst = single_voter_separation_example()
     mu = cost_sat(inst)
-    checks: list[CheckResult] = []
-    _check(checks, "{p1} passes PJR up-to-one (p3 rescues: 5 > 4)", "PAPER",
-           check_pjr1(inst, mu, {"p1"}) is None, "no violation")
+    yield _check("{p1} passes PJR up-to-one (p3 rescues: 5 > 4)", "PAPER",
+                 check_pjr1(inst, mu, {"p1"}) is None, "no violation")
     v = check_local_bpjr(inst, mu, {"p1"})
-    _check(checks, "{p1} fails the local variant with best set {p1,p2}",
-           "PAPER",
-           v is not None and dict(v.detail).get("best_set") == ("p1", "p2"),
-           "no violation" if v is None else str(dict(v.detail)))
-    return checks
+    yield _check("{p1} fails the local variant with best set {p1,p2}",
+                 "PAPER",
+                 v is not None and dict(v.detail).get("best_set") == ("p1", "p2"),
+                 "no violation" if v is None else str(dict(v.detail)))
 
 
-def _case_dns_necessity() -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _case_dns_necessity() -> Iterator[CheckResult]:
     for label, cost_map in (
         ("value-drop map (pricier is worth less)", {"1": "1", "2": "0.5"}),
         ("ratio-jump map (pricier is worth more per unit)", {"1": "1", "2": "3"}),
@@ -292,19 +276,18 @@ def _case_dns_necessity() -> list[CheckResult]:
         inst, mu = dns_counterexample_instance(cost_map, "1", "2")
         w, _ = run_mes(inst, cardinality_sat(inst))
         v = check_pjrx(inst, mu, w, max_m=20, max_n=200)
-        _check(checks, f"{label}: cardinality-MES outcome fails PJR up-to-any",
-               "DERIVED", v is not None,
-               f"n={inst.n} m={inst.m} W={sorted(w)} violation={v is not None}")
+        yield _check(f"{label}: cardinality-MES outcome fails PJR up-to-any",
+                     "DERIVED", v is not None,
+                     f"n={inst.n} m={inst.m} W={sorted(w)} violation={v is not None}")
     try:
         dns_counterexample_instance({"1": "1", "2": "2"}, "1", "2")
         ok, observed = False, "no error raised"
     except ValueError as exc:
         ok, observed = True, str(exc)
-    _check(checks, "DNS-compliant map is rejected", "TRIVIAL", ok, observed)
-    return checks
+    yield _check("DNS-compliant map is rejected", "TRIVIAL", ok, observed)
 
 
-CASES: dict[str, Callable[[], list[CheckResult]]] = {
+CASES: dict[str, Callable[[], Iterator[CheckResult]]] = {
     "best-outcome": _case_best_outcome,
     "ejrx-separation": _case_ejrx_separation,
     "ejr1-incompatibility": _case_ejr1_incompatibility,
@@ -321,7 +304,7 @@ def run_case(case_id: str) -> CaseResult:
         fn = CASES[case_id]
     except KeyError:
         raise ValueError(f"unknown case {case_id!r}")
-    return CaseResult(case_id=case_id, checks=fn())
+    return CaseResult(case_id=case_id, checks=list(fn()))
 
 
 def run_all(case_ids: Iterable[str] | None = None) -> list[CaseResult]:

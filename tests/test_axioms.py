@@ -277,8 +277,8 @@ def test_group_signatures_cover_all_voter_subsets(tiny_instances):
                      frozenset.union(*ballots))
                 )
         enumerated = {}
-        for group, inter, union in _group_signatures(inst.ballot_types().items(), 1):
-            enumerated[(inter, union)] = group
+        for types, inter, union in _group_signatures(inst.ballot_types().items(), 1):
+            enumerated[(inter, union)] = frozenset(i for _, holders in types for i in holders)
         assert set(enumerated) == naive
         # each representative group holds every voter with a matching ballot
         for (inter, union), group in enumerated.items():

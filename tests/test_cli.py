@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pbprop
 from conftest import (
     FIXTURES, MALFORMED_JSON, MALFORMED_PRICE_SYSTEMS, make_instance, pabulib_text,
 )
-from pbprop import pricing, rules
+from pbprop import axioms, pricing, rules
 from pbprop.cli import _make_parser, main
 from pbprop.model import Instance, emit_json, parse_json
 
@@ -220,6 +221,17 @@ def test_audit_guard_exit_code(capsys, tmp_path):
     assert "pjr1" in json.loads(out)["guard_errors"]
 
 
+def test_audit_on_a_broken_lattice_is_an_invariant_error(capsys, inst_file, monkeypatch):
+    # EJR passing while EJR-x fails is a checker bug, never a verdict
+    fake = axioms.Violation("ejrx", axioms.CohesiveWitness(frozenset({"p1"}), frozenset({1})),
+                            Fraction(0), Fraction(1))
+    monkeypatch.setitem(axioms.AXIOM_CHECKERS, "ejr", lambda *args, **kwargs: None)
+    monkeypatch.setitem(axioms.AXIOM_CHECKERS, "ejrx", lambda *args, **kwargs: fake)
+    code, out, err = run_cli(capsys, "audit", inst_file, "p2")
+    assert (code, out) == (70, "")
+    assert err.startswith("pb: internal invariant broken: implication lattice broken: [")
+
+
 # ---------------------------------------------------------------------------
 # price
 
@@ -393,6 +405,14 @@ def test_gen_rejects_bad_parameters(flags):
     assert proc.stderr.startswith("pb: ") and "Traceback" not in proc.stderr
     name = flags[0].lstrip("-")
     assert f"{name} must be" in proc.stderr  # names the bad parameter
+
+
+def test_gen_range_reaching_zero_fails_on_every_seed(capsys):
+    # refused before any draw, so the seed cannot decide it
+    for seed in ("0", "3"):
+        code, out, err = run_cli(capsys, "gen", "--n", "3", "--m", "3", "--cost-min", "0",
+                                 "--cost-max", "1", "--seed", seed)
+        assert (code, out, err) == (1, "", "pb: cost_min must be positive\n")
 
 
 def test_gen_pipes_into_run(capsys, tmp_path):

@@ -62,6 +62,15 @@ def test_instance_validation():
         Instance.create({"a": 1}, [{"zzz"}], 1)  # unknown project on ballot
     with pytest.raises(InstanceError):
         Instance.create({}, [set()], 1)  # no projects
+    one = {"a": Fraction(1)}
+    with pytest.raises(InstanceError, match="project ids must be unique"):
+        Instance(1, ("a", "a"), one, (frozenset("a"),), Fraction(1))
+    with pytest.raises(InstanceError, match="costs must cover exactly the project list"):
+        Instance(1, ("a",), {**one, "b": Fraction(1)}, (frozenset("a"),), Fraction(1))
+    inst = Instance.create(one, [{"a"}, {"a"}], 1)
+    for voter in (0, inst.n + 1):
+        with pytest.raises(InstanceError, match=f"unknown voter {voter}"):
+            inst.approval(voter)
 
 
 def test_exhaustive():
@@ -112,6 +121,7 @@ def test_parse_pabulib_roundtrip_values():
         (lambda s: s.replace("VOTES\n", ""), "missing section VOTES"),
         (lambda s: s.replace("approval", "ordinal"), "vote type"),
         (lambda s: s.replace("num_projects;2", "num_projects;3"), "3 projects"),
+        (lambda s: s.replace("num_projects;2", "num_projects;two"), "must be integers"),
         (lambda s: s.replace("num_votes;2", "num_votes;5"), "5 votes"),
         (lambda s: s.replace("1;p1,p2", "1;p9"), "unknown projects"),
         (lambda s: s.replace("budget;7/2\n", ""), "missing META key budget"),
@@ -257,6 +267,17 @@ def _no_return(signum, frame):
     (GenParams(n=3, m=3, denominator=0), "denominator must be at least 1"),
     (GenParams(n=3, m=3, denominator=-1), "denominator must be at least 1"),
     (GenParams(n=3, m=3, unit_cost=True, denominator=0), "denominator must be at least 1"),
+    (GenParams(n=3, m=3, cost_min=Fraction(0), cost_max=Fraction(1)), "cost_min must be positive"),
+    (GenParams(n=3, m=3, cost_min=Fraction(-1)), "cost_min must be positive"),
+    (GenParams(n=3, m=3, budget_min=Fraction(0)), "budget_min must be positive"),
+    (GenParams(n=3, m=3, cost_min=Fraction(5), cost_max=Fraction(1)),
+     r"^cost range \[5, 1\] holds no multiple of 1/4$"),
+    (GenParams(n=3, m=3, cost_min=Fraction(1, 8), cost_max=Fraction(1, 5)),
+     r"^cost range \[1/8, 1/5\] holds no multiple of 1/4$"),
+    (GenParams(n=3, m=3, budget_min=Fraction(5), budget_max=Fraction(1)),
+     r"^budget range \[5, 1\] holds no multiple of 1/4$"),
+    (GenParams(n=3, m=4, budget_max=Fraction(1)),  # below the default lower end m/2
+     r"^budget range \[2, 1\] holds no multiple of 1/4$"),
 ])
 def test_generator_rejects_bad_parameters(params, fragment):
     # an alarm, so that a generator that loops forever fails the test

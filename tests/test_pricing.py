@@ -39,6 +39,7 @@ def test_to_dict_is_the_json_object(priceable_example):
     ps = extract_from_mes_trace(inst, run_mes(inst, cost_sat(inst))[1])
     assert json.loads(dumps(ps.to_dict())) == expanded_system(ps)
     assert PriceSystem.from_json(ps.to_json()) == ps
+    assert ps.__eq__(ps.to_dict()) is NotImplemented and ps != ps.to_dict()
 
 
 # ---------------------------------------------------------------------------
