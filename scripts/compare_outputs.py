@@ -11,6 +11,11 @@ per seed, on that seed's uniform instances:
   and maximin systems that this checkout's ``price extract`` prints;
 - ``run --rule gcr``, ``run --rule phragmen --skip-blocked --tie reverse``
   and ``audit --axiom pjrx`` on the first 8 ``audit`` instances;
+- on the same instances, every satisfaction selector the benchmark leaves
+  out: ``run --rule mes`` with ``sqrt``, ``log`` and ``share``, ``run --rule
+  gcr`` with a ``costmap:`` file, and ``audit`` with ``share``, ``costmap:``
+  and ``table:`` files written from the instance, plus a cost map that lacks
+  one cost and a table that lacks one project;
 - ``gen``, a usage error and a missing file;
 
 and once, ``pb repro`` with all cases, with one case and with an unknown
@@ -68,11 +73,28 @@ def front_end_jobs(cli, seed: int, jobs, workdir: Path) -> list[tuple[str, tuple
             outcome = ",".join(payload["outcome"]) or "-"
             found += [("price", "verify", *flags, path, outcome, str(system))
                       for flags in ((), ("--c6", "--strict-b"))]
-    for path in instances("audit/")[:8]:
+    for k, path in enumerate(instances("audit/")[:8]):
         audit = next(job.argv for job in jobs if job.instance == path)
+        projects = json.loads(Path(path).read_text())["projects"]
+        costs = list(dict.fromkeys(p["cost"] for p in projects))
+        sat = {}
+        for name, values in (
+            ("costmap", {c: str(j + 1) for j, c in enumerate(costs)}),
+            ("costmap-gap", {c: str(j + 1) for j, c in enumerate(costs[1:])}),
+            ("table", {p["id"]: f"{j % 3 + 1}/2" for j, p in enumerate(projects)}),
+            ("table-gap", {p["id"]: "1" for p in projects[:-1]}),
+        ):
+            file = workdir / f"a{k:02d}-{name}.json"
+            file.write_text(json.dumps(values))
+            sat[name] = f"{name.split('-')[0]}:{file}"
         found += [("run", "--rule", "gcr", path),
                   ("run", "--rule", "phragmen", "--skip-blocked", "--tie", "reverse", path),
-                  ("audit", "--axiom", "pjrx", *audit[1:])]
+                  ("audit", "--axiom", "pjrx", *audit[1:]),
+                  *(("run", "--rule", "mes", "--sat", s, path) for s in ("sqrt", "log", "share")),
+                  ("run", "--rule", "gcr", "--sat", sat["costmap"], path),
+                  *(("audit", "--sat", s, *audit[3:])
+                    for s in ("share", sat["costmap"], sat["table"], sat["table-gap"])),
+                  ("run", "--rule", "mes", "--sat", sat["costmap-gap"], path)]
     found += [("gen", "--n", "4", "--m", "5", "--seed", str(seed)),
               ("run", "--rule", "nope", jobs[0].instance),
               ("run", "--rule", "mes", str(workdir / "missing.json"))]

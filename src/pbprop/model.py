@@ -336,21 +336,18 @@ def parse_pabulib(text: str) -> Instance:
         raise ParseError(f"unreadable .pb rows: {exc}") from exc
     sections: dict[str, list[list[str]]] = {}
     current: list[list[str]] | None = None
-    # Headers and blank rows have fewer than two fields; the rows between
-    # them are data rows, added a run at a time.
-    short = [(k, row[0].strip().upper() if row else "")
-             for k, row in enumerate(rows) if len(row) < 2]
-    breaks = [(k, head) for k, head in short if head in ("", "META", "PROJECTS", "VOTES")]
-    start = 0
-    for k, head in [*breaks, (len(rows), "")]:
-        if start < k:
-            if current is None:
-                line = ";".join(f.strip() for f in rows[start])
-                raise ParseError(f"content before first section header: {line!r}")
-            current += rows[start:k]
-        if head:
-            current = sections.setdefault(head, [])
-        start = k + 1
+    for row in rows:
+        # A header or a blank row has fewer than two fields; other rows are data.
+        if len(row) < 2:
+            head = row[0].strip().upper() if row else ""
+            if head in ("", "META", "PROJECTS", "VOTES"):
+                if head:
+                    current = sections.setdefault(head, [])
+                continue
+        if current is None:
+            line = ";".join(f.strip() for f in row)
+            raise ParseError(f"content before first section header: {line!r}")
+        current.append(row)
 
     for name in ("META", "PROJECTS", "VOTES"):
         if name not in sections:

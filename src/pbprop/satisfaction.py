@@ -2,12 +2,11 @@
 
 Built-ins: cost, cardinality, sqrt-of-cost, log(1+cost), Chamberlin-Courant
 style coverage (cc), share, and user tables. Square roots and logarithms are
-rationalized once at construction (12 significant decimal digits); all later
+rationalized once per distinct cost (12 significant decimal digits); all later
 arithmetic is exact.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -48,8 +47,12 @@ class SatisfactionFunction:
     )
 
     def __post_init__(self) -> None:
-        if self.per_project and any(v < 0 for v in self.per_project.values()):
-            raise ValueError(f"{self.kind} values must not be negative (μ must be monotone)")
+        # Values are exact, and an int's or a Fraction's sign is its numerator's.
+        for p, v in (self.per_project or {}).items():
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"{self.kind} value for {p!r} must be an int or a Fraction")
+            if v.numerator < 0:
+                raise ValueError(f"{self.kind} values must not be negative (μ must be monotone)")
 
     @property
     def additive(self) -> bool:
@@ -58,7 +61,7 @@ class SatisfactionFunction:
     @property
     def strictly_increasing(self) -> bool:
         """Adding a valued project strictly raises the value."""
-        return self.additive and all(v > 0 for v in self.per_project.values())
+        return self.additive and all(v.numerator > 0 for v in self.per_project.values())
 
     def value(self, s: Iterable[str]) -> Fraction:
         s = frozenset(s)
@@ -93,25 +96,36 @@ def voter_satisfaction(
 # Built-in constructors
 
 
+def _by_cost(kind: str, inst: Instance,
+             value: Callable[[Fraction], Fraction]) -> SatisfactionFunction:
+    """The additive function whose value on p is ``value(c(p))``. ``value``
+    runs once per distinct cost, in project order; costs are told apart by
+    their ints in ``inst.cost_units``, since hashing a ``Fraction`` is slow."""
+    units, costs = inst.cost_units, inst.costs
+    of_cost: dict[int, Fraction] = {}
+    per_project = {}
+    for p in inst.projects:
+        u = units[p]
+        if u not in of_cost:
+            of_cost[u] = value(costs[p])
+        per_project[p] = of_cost[u]
+    return SatisfactionFunction(kind, per_project)
+
+
 def cost_sat(inst: Instance) -> SatisfactionFunction:
-    return SatisfactionFunction("cost", {p: inst.costs[p] for p in inst.projects})
+    return _by_cost("cost", inst, lambda c: c)
 
 
 def cardinality_sat(inst: Instance) -> SatisfactionFunction:
-    return SatisfactionFunction("cardinality", {p: Fraction(1) for p in inst.projects})
+    return _by_cost("cardinality", inst, lambda c: Fraction(1))
 
 
 def sqrt_cost_sat(inst: Instance) -> SatisfactionFunction:
-    return SatisfactionFunction(
-        "sqrt_cost", {p: _rationalize(inst.costs[p], Decimal.sqrt) for p in inst.projects}
-    )
+    return _by_cost("sqrt_cost", inst, lambda c: _rationalize(c, Decimal.sqrt))
 
 
 def log_cost_sat(inst: Instance) -> SatisfactionFunction:
-    return SatisfactionFunction(
-        "log_cost",
-        {p: _rationalize(inst.costs[p], lambda d: (1 + d).ln()) for p in inst.projects},
-    )
+    return _by_cost("log_cost", inst, lambda c: _rationalize(c, lambda d: (1 + d).ln()))
 
 
 def cc_sat() -> SatisfactionFunction:
@@ -150,10 +164,12 @@ def _cost_values(cost_map: Mapping[object, object]) -> dict[Fraction, Fraction]:
 def cost_map_sat(inst: Instance, cost_map: Mapping[object, object]) -> SatisfactionFunction:
     """Additive function induced by a map from cost to satisfaction value."""
     parsed = _cost_values(cost_map)
-    for p in inst.projects:
-        if inst.costs[p] not in parsed:
-            raise ValueError(f"cost map has no entry for cost {inst.costs[p]}")
-    return SatisfactionFunction("cost_map", {p: parsed[inst.costs[p]] for p in inst.projects})
+    def value(c: Fraction) -> Fraction:
+        if c not in parsed:
+            raise ValueError(f"cost map has no entry for cost {c}")
+        return parsed[c]
+
+    return _by_cost("cost_map", inst, value)
 
 
 BUILTINS = {
@@ -179,13 +195,14 @@ class DnsViolation:
 
 
 def check_dns(mu: SatisfactionFunction, inst: Instance) -> DnsViolation | None:
-    """Return a violating project pair, or None if mu has weakly decreasing
-    normalized satisfaction on this instance."""
+    """Return the first violating pair of neighbours in (cost, id) order, or
+    None if mu has weakly decreasing normalized satisfaction on this instance:
+    both inequalities chain along that order, so neighbours decide."""
     if not mu.additive:
         raise CapabilityError("DNS classification requires an additive function")
     projects = [p for p in inst.projects if p in mu.per_project]
     by_cost = sorted(projects, key=lambda p: (inst.costs[p], p))
-    for a, b in itertools.combinations(by_cost, 2):
+    for a, b in zip(by_cost, by_cost[1:]):
         ca, cb = inst.costs[a], inst.costs[b]
         va, vb = mu.per_project[a], mu.per_project[b]
         if va > vb:
@@ -224,63 +241,35 @@ def dns_counterexample_instance(
     xs = xp / x
     vs = s[xp] / s[x]
     if vs < 1:
-        return _counterexample_value_drop(s, x, xs, vs)
+        # Pricier projects give less value. A mass of voters cohesive over cheap
+        # projects watches MES[cardinality] spend everything on pricey ones.
+        beta = 1 // (1 - vs) + 1  # beta > 1/(1-vs), so vs + 1/beta < 1
+        eps = Fraction(1, 2 * beta)
+        ratio = xs - 1 + eps / 2  # strictly inside (x'-1, x'-1+eps)
+        return _two_tiers(beta + 1, beta + 1, xs, vs, beta * (xs + eps),
+                          n_all=ratio.denominator, n_pricey_only=ratio.numerator)
     if vs / xs > 1:
-        return _counterexample_ratio_jump(s, x, xs, vs)
+        # Pricier projects give more value per cost. A single voter is cohesive
+        # over pricey projects while MES[cardinality] buys cheap ones.
+        beta = vs // (vs - xs) + 1  # beta*(vs-xs) > vs, so xs/vs < (beta-1)/beta
+        budget = beta * xs
+        return _two_tiers(int(budget), beta, xs, vs, budget, n_all=1, n_pricey_only=0)  # int floors
     raise ValueError("map does not violate DNS at the given pair")
 
 
-def _induced_mu(inst: Instance, s: Mapping[Fraction, Fraction], scale_c: Fraction,
-                scale_v: Fraction) -> SatisfactionFunction:
-    # Instance costs are rescaled; map values through the original map.
-    return SatisfactionFunction(
-        "cost_map", {p: s[inst.costs[p] * scale_c] * scale_v for p in inst.projects}
-    )
-
-
-def _counterexample_value_drop(
-    s: Mapping[Fraction, Fraction], x: Fraction, xs: Fraction, vs: Fraction
-) -> tuple[Instance, SatisfactionFunction]:
-    # Pricier projects give less value. A mass of voters cohesive over cheap
-    # projects watches MES[cardinality] spend everything on pricey ones.
-    beta = 1 // (1 - vs) + 1  # beta > 1/(1-vs), so vs + 1/beta < 1
-    eps = Fraction(1, 2 * beta)
-    ratio = xs - 1 + eps / 2  # strictly inside (x'-1, x'-1+eps)
-    p_cnt, q_cnt = ratio.numerator, ratio.denominator
-    budget = beta * (xs + eps)
-    cheap = [f"a{j}" for j in range(1, beta + 2)]
-    pricey = [f"z{j}" for j in range(1, beta + 2)]
-    costs = {p: Fraction(1) for p in cheap}
-    costs.update({p: xs for p in pricey})
-    everything = frozenset(cheap) | frozenset(pricey)
-    approvals = [everything] * q_cnt + [frozenset(pricey)] * p_cnt
-    inst = Instance(
-        n=p_cnt + q_cnt,
-        projects=tuple(cheap + pricey),
-        costs=costs,
-        approvals=tuple(approvals),
-        budget=budget,
-    )
-    return inst, _induced_mu(inst, s, scale_c=x, scale_v=Fraction(1) / s[x])
-
-
-def _counterexample_ratio_jump(
-    s: Mapping[Fraction, Fraction], x: Fraction, xs: Fraction, vs: Fraction
-) -> tuple[Instance, SatisfactionFunction]:
-    # Pricier projects give more value per cost. A single voter is cohesive
-    # over pricey projects while MES[cardinality] buys cheap ones.
-    beta = vs // (vs - xs) + 1  # beta*(vs-xs) > vs, so xs/vs < (beta-1)/beta
-    budget = beta * xs
-    n_cheap = int(budget)  # floor
+def _two_tiers(n_cheap: int, n_pricey: int, xs: Fraction, vs: Fraction, budget: Fraction,
+               n_all: int, n_pricey_only: int) -> tuple[Instance, SatisfactionFunction]:
+    """Cheap projects a1… at cost and value 1, pricey projects z1… at cost xs
+    and value vs (the map's s[c·x]/s[x] on the rescaled costs); ``n_all``
+    voters approve every project, then ``n_pricey_only`` the pricey ones."""
     cheap = [f"a{j}" for j in range(1, n_cheap + 1)]
-    pricey = [f"z{j}" for j in range(1, beta + 1)]
-    costs = {p: Fraction(1) for p in cheap}
-    costs.update({p: xs for p in pricey})
+    pricey = [f"z{j}" for j in range(1, n_pricey + 1)]
+    costs = {**dict.fromkeys(cheap, Fraction(1)), **dict.fromkeys(pricey, xs)}
     inst = Instance(
-        n=1,
-        projects=tuple(cheap + pricey),
+        n=n_all + n_pricey_only,
+        projects=tuple(costs),
         costs=costs,
-        approvals=(frozenset(cheap + pricey),),
+        approvals=(frozenset(costs),) * n_all + (frozenset(pricey),) * n_pricey_only,
         budget=budget,
     )
-    return inst, _induced_mu(inst, s, scale_c=x, scale_v=Fraction(1) / s[x])
+    return inst, _by_cost("cost_map", inst, {Fraction(1): Fraction(1), xs: vs}.__getitem__)

@@ -12,7 +12,7 @@ from pbprop import rules
 from pbprop.axioms import is_cohesive
 from pbprop.model import Instance, InstanceError, ParseError, _columns, parse_money
 from pbprop.rules import LoadAssignment, RuleTrace
-from pbprop.satisfaction import voter_satisfaction
+from pbprop.satisfaction import DnsViolation, voter_satisfaction
 
 
 def cost_of(inst, s):
@@ -34,6 +34,21 @@ def all_groups(inst):
     for r in range(1, inst.n + 1):
         for combo in itertools.combinations(voters, r):
             yield frozenset(combo)
+
+
+def all_pairs_dns(mu, inst):
+    """DNS off its definition: every pair of valued projects, cheaper first in
+    (cost, id) order, must keep mu(a) <= mu(b) and mu(a)/c(a) >= mu(b)/c(b).
+    Returns the first violating pair in that pair order, or None."""
+    by_cost = sorted((p for p in inst.projects if p in mu.per_project),
+                     key=lambda p: (inst.costs[p], p))
+    for a, b in itertools.combinations(by_cost, 2):
+        va, vb = mu.per_project[a], mu.per_project[b]
+        if va > vb:
+            return DnsViolation(cheap=a, pricey=b, inequality="value")
+        if va / inst.costs[a] < vb / inst.costs[b]:
+            return DnsViolation(cheap=a, pricey=b, inequality="ratio")
+    return None
 
 
 def naive_ejr_passes(inst, mu, w):

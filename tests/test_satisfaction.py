@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
+from oracles import all_pairs_dns
 import pbprop
+from pbprop import satisfaction
 from pbprop.axioms import audit_all
 from pbprop.errors import CapabilityError
 from pbprop.model import Instance, ParseError
@@ -134,6 +136,32 @@ def test_capabilities_are_read_off_the_values():
             SatisfactionFunction("x", {"a": Fraction(1)}, **{name: True})
 
 
+def test_values_must_be_exact():
+    with pytest.raises(ValueError, match="^x value for 'a' must be an int or a Fraction$"):
+        SatisfactionFunction("x", {"a": 0.5})
+    mu = SatisfactionFunction("x", {"a": 1})
+    assert mu.additive and mu.strictly_increasing
+    with pytest.raises(ValueError, match=r"^x values must not be negative \(μ must be monotone\)$"):
+        SatisfactionFunction("x", {"a": Fraction(1), "b": -1})
+
+
+def test_sqrt_and_log_value_each_distinct_cost_once(monkeypatch):
+    inst = Instance.create({"a": 2, "b": 3, "c": 2, "d": "1/2", "e": 3, "f": "2.0"},
+                           [{"a", "b", "c", "d", "e", "f"}], 6)
+    calls, rationalize = [], satisfaction._rationalize
+
+    def counting(x, op):
+        calls.append(x)
+        return rationalize(x, op)
+
+    monkeypatch.setattr(satisfaction, "_rationalize", counting)
+    for make in (sqrt_cost_sat, log_cost_sat):
+        calls.clear()
+        mu = make(inst)
+        assert calls == [2, 3, Fraction(1, 2)], make.__name__
+        assert mu.per_project["a"] == mu.per_project["c"] == mu.per_project["f"]
+
+
 def test_share_value_on_priceable_example():
     inst = priceable_not_pjrx_example()
     assert share_sat(inst).value({"p1"}) == 2  # cost 4, two approvers
@@ -150,6 +178,12 @@ def test_table_and_cost_map(inst):
         cost_map_sat(inst, {"4": 1})  # costs 1 and 9/4 unmapped
     with pytest.raises(ValueError, match="^cost map value for cost 7 must be strictly"):
         cost_map_sat(inst, {"4": 1, "1": "1/8", "9/4": "2", "7": 0})  # no project costs 7
+
+
+def test_cost_map_names_the_missing_cost_of_the_first_project(inst):
+    # a (cost 4) and c (cost 9/4) are unmapped; a comes first in project order
+    with pytest.raises(ValueError, match="^cost map has no entry for cost 4$"):
+        cost_map_sat(inst, {"1": 1})
 
 
 def test_cost_map_refuses_two_keys_for_one_cost(inst):
@@ -197,6 +231,42 @@ def test_dns_violation_witness():
     # the witness really breaks the per-cost inequality
     assert (mu.per_project[v.cheap] / inst.costs[v.cheap]
             < mu.per_project[v.pricey] / inst.costs[v.pricey])
+
+
+def _dns_pool(seed):
+    """Additive functions on one seeded instance, DNS or not, for comparing
+    check_dns with the all-pairs oracle."""
+    rng = random.Random(seed)
+    inst = make_instance(seed, max_n=4, max_m=7)
+    if seed % 2:  # repeated costs
+        costs = {p: rng.choice([Fraction(1), Fraction(3, 2), Fraction(2)]) for p in inst.projects}
+        inst = Instance.create(costs, [set(a) for a in inst.approvals], inst.budget)
+    distinct = sorted(set(inst.costs.values()))
+    cap = rng.choice(distinct)
+    pool = [cost_sat(inst), cardinality_sat(inst), sqrt_cost_sat(inst), log_cost_sat(inst),
+            share_sat(inst), SatisfactionFunction("table", dict.fromkeys(inst.projects, Fraction(0))),
+            SatisfactionFunction("table", {p: Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                                           for p in inst.projects}),
+            cost_map_sat(inst, {c: min(c, cap) for c in distinct}),  # DNS: value capped
+            cost_map_sat(inst, {c: Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                                for c in distinct})]
+    return inst, pool
+
+
+def test_check_dns_agrees_with_all_pairs_oracle():
+    for seed in range(120):
+        inst, pool = _dns_pool(seed)
+        for mu in pool:
+            v = check_dns(mu, inst)
+            assert (v is None) == (all_pairs_dns(mu, inst) is None), (seed, mu.kind)
+            if v is None:
+                continue
+            by_cost = sorted((p for p in inst.projects if p in mu.per_project),
+                             key=lambda p: (inst.costs[p], p))
+            assert by_cost.index(v.pricey) == by_cost.index(v.cheap) + 1, (seed, mu.kind)
+            va, vb = mu.per_project[v.cheap], mu.per_project[v.pricey]
+            ca, cb = inst.costs[v.cheap], inst.costs[v.pricey]
+            assert va > vb if v.inequality == "value" else va * cb < vb * ca, (seed, mu.kind)
 
 
 def test_builtins_invariant_under_project_renaming():
