@@ -2,7 +2,7 @@
 
 Built-ins: cost, cardinality, sqrt-of-cost, log(1+cost), Chamberlin-Courant
 style coverage (cc), share, and user tables. Square roots and logarithms are
-rationalized once per distinct cost (12 significant decimal digits); all later
+rationalized once at construction (12 significant decimal digits); all later
 arithmetic is exact.
 """
 from __future__ import annotations
@@ -98,18 +98,9 @@ def voter_satisfaction(
 
 def _by_cost(kind: str, inst: Instance,
              value: Callable[[Fraction], Fraction]) -> SatisfactionFunction:
-    """The additive function whose value on p is ``value(c(p))``. ``value``
-    runs once per distinct cost, in project order; costs are told apart by
-    their ints in ``inst.cost_units``, since hashing a ``Fraction`` is slow."""
-    units, costs = inst.cost_units, inst.costs
-    of_cost: dict[int, Fraction] = {}
-    per_project = {}
-    for p in inst.projects:
-        u = units[p]
-        if u not in of_cost:
-            of_cost[u] = value(costs[p])
-        per_project[p] = of_cost[u]
-    return SatisfactionFunction(kind, per_project)
+    """The additive function whose value on p is ``value(c(p))``, valued in
+    project order."""
+    return SatisfactionFunction(kind, {p: value(inst.costs[p]) for p in inst.projects})
 
 
 def cost_sat(inst: Instance) -> SatisfactionFunction:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import make_instance
 from oracles import all_pairs_dns
 import pbprop
-from pbprop import satisfaction
 from pbprop.axioms import audit_all
 from pbprop.errors import CapabilityError
 from pbprop.model import Instance, ParseError
@@ -143,23 +142,6 @@ def test_values_must_be_exact():
     assert mu.additive and mu.strictly_increasing
     with pytest.raises(ValueError, match=r"^x values must not be negative \(μ must be monotone\)$"):
         SatisfactionFunction("x", {"a": Fraction(1), "b": -1})
-
-
-def test_sqrt_and_log_value_each_distinct_cost_once(monkeypatch):
-    inst = Instance.create({"a": 2, "b": 3, "c": 2, "d": "1/2", "e": 3, "f": "2.0"},
-                           [{"a", "b", "c", "d", "e", "f"}], 6)
-    calls, rationalize = [], satisfaction._rationalize
-
-    def counting(x, op):
-        calls.append(x)
-        return rationalize(x, op)
-
-    monkeypatch.setattr(satisfaction, "_rationalize", counting)
-    for make in (sqrt_cost_sat, log_cost_sat):
-        calls.clear()
-        mu = make(inst)
-        assert calls == [2, 3, Fraction(1, 2)], make.__name__
-        assert mu.per_project["a"] == mu.per_project["c"] == mu.per_project["f"]
 
 
 def test_share_value_on_priceable_example():
